@@ -1,15 +1,15 @@
 #include "krylov/ft_gmres.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "krylov/mixed.hpp"
 
 namespace sdcgmres::krylov {
 
-GmresOptions InnerGmresPreconditioner::options_for(
-    std::size_t outer_index) const {
+template <typename S>
+GmresOptions InnerGmresT<S>::options_for(std::size_t outer_index) const {
   GmresOptions opts = opts_;
   if (robust_first_solve_ && outer_index == 0) {
     // Paper Section VII-E-1: spend extra effort where faults hurt most.
@@ -20,26 +20,45 @@ GmresOptions InnerGmresPreconditioner::options_for(
   return opts;
 }
 
-GmresEngine InnerGmresPreconditioner::make_engine(std::span<const double> q,
-                                                  std::size_t outer_index,
-                                                  std::span<double> z) {
-  // Zero initial guess, solved in place in the caller's z storage; the
-  // inner solve never sees an owning vector (b is the outer basis column,
-  // x the outer Z-arena column).
-  cur_q_ = q;
+template <typename S>
+GmresEngineT<S> InnerGmresT<S>::start_engine(ArnoldiHook* hook) {
+  std::fill(cur_x_.begin(), cur_x_.end(), S(0));
+  return GmresEngineT<S>(a_->rows(), a_->cols(), cur_q_, cur_x_,
+                         options_for(cur_outer_), hook, cur_outer_,
+                         workspace(), /*residual_history=*/nullptr);
+}
+
+template <typename S>
+GmresEngineT<S> InnerGmresT<S>::make_engine(std::span<const double> q,
+                                            std::size_t outer_index,
+                                            std::span<double> z) {
+  // Zero initial guess.  On the double plane the solve runs in place in
+  // the caller's storage (b is the outer basis column, x the outer Z-arena
+  // column); a narrowed plane runs on staged copies at its own scalar.
   cur_z_ = z;
   cur_outer_ = outer_index;
   retrying_ = false;
   pending_retry_iters_ = 0;
   pending_retry_applies_ = 0;
   pending_retry_syncs_ = 0;
-  std::fill(z.begin(), z.end(), 0.0);
-  return GmresEngine(*a_, q, z, options_for(outer_index), hook_, outer_index,
-                     workspace(), /*residual_history=*/nullptr);
+  if constexpr (std::is_same_v<S, double>) {
+    cur_q_ = q;
+    cur_x_ = z;
+  } else {
+    q_staged_.resize(q.size());
+    z_staged_.resize(z.size());
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      q_staged_[i] = static_cast<S>(q[i]);
+    }
+    cur_q_ = q_staged_.span();
+    cur_x_ = z_staged_.span();
+  }
+  return start_engine(hook_);
 }
 
-GmresEngine InnerGmresPreconditioner::make_reliable_retry(
-    const GmresEngine& aborted) {
+template <typename S>
+GmresEngineT<S> InnerGmresT<S>::make_reliable_retry(
+    const GmresEngineT<S>& aborted) {
   // Carry the aborted attempt's effort into the eventual record, then
   // rebuild the identical solve with the hook detached: no campaign can
   // re-inject and no detector can re-abort -- the recompute is reliable.
@@ -47,13 +66,16 @@ GmresEngine InnerGmresPreconditioner::make_reliable_retry(
   pending_retry_applies_ = aborted.stats().operator_applies;
   pending_retry_syncs_ = aborted.stats().global_syncs;
   retrying_ = true;
-  std::fill(cur_z_.begin(), cur_z_.end(), 0.0);
-  return GmresEngine(*a_, cur_q_, cur_z_, options_for(cur_outer_),
-                     /*hook=*/nullptr, cur_outer_, workspace(),
-                     /*residual_history=*/nullptr);
+  return start_engine(/*hook=*/nullptr);
 }
 
-void InnerGmresPreconditioner::finish_engine(const GmresEngine& engine) {
+template <typename S>
+void InnerGmresT<S>::finish_engine(const GmresEngineT<S>& engine) {
+  if constexpr (!std::is_same_v<S, double>) {
+    for (std::size_t i = 0; i < cur_z_.size(); ++i) {
+      cur_z_[i] = static_cast<double>(cur_x_[i]);
+    }
+  }
   const GmresStats& inner = engine.stats();
   InnerSolveRecord rec{.outer_index = engine.solve_index(),
                        .status = inner.status,
@@ -73,22 +95,27 @@ void InnerGmresPreconditioner::finish_engine(const GmresEngine& engine) {
   pending_retry_syncs_ = 0;
 }
 
-void InnerGmresPreconditioner::apply(std::span<const double> q,
-                                     std::size_t outer_index,
-                                     std::span<double> z) {
+template <typename S>
+void InnerGmresT<S>::apply(std::span<const double> q, std::size_t outer_index,
+                           std::span<double> z) {
   // The canonical straight-through drive of the shared engine (the batch
   // driver runs the same protocol with the products fused per block,
   // including the reliable-retry turnover below).
-  GmresEngine engine = make_engine(q, outer_index, z);
+  GmresEngineT<S> engine = make_engine(q, outer_index, z);
   drive_to_completion(*a_, engine);
   if (wants_reliable_retry(engine)) {
-    GmresEngine retry = make_reliable_retry(engine);
+    GmresEngineT<S> retry = make_reliable_retry(engine);
     drive_to_completion(*a_, retry);
     finish_engine(retry);
     return;
   }
   finish_engine(engine);
 }
+
+// The two inner data planes: the reliable double solve and the narrowed
+// float solve.
+template class InnerGmresT<double>;
+template class InnerGmresT<float>;
 
 FtGmresResult detail::make_ft_gmres_result(
     FgmresResult&& outer, std::vector<InnerSolveRecord> inner_solves) {
@@ -113,14 +140,13 @@ FtGmresResult detail::make_ft_gmres_result(
 
 namespace {
 
-/// The shared solo drive: the outer engine's loop (same as fgmres()'s,
-/// driven directly so RestartOuter can divert a flagged iteration into
-/// restart_cycle()) around any inner preconditioner exposing the
-/// apply / last_record_requests_outer_restart / records protocol --
-/// the reliable InnerGmresPreconditioner or a MixedInnerGmresT mirror.
-template <typename Inner>
+/// The solo drive: the outer engine's loop (same as fgmres()'s, driven
+/// directly so RestartOuter can divert a flagged iteration into
+/// restart_cycle()) around the inner solve of whichever plane
+/// with_inner_operator() selected.
+template <typename S>
 FtGmresResult drive_solo(const LinearOperator& A, const la::Vector& b,
-                         const FtGmresOptions& opts, Inner& inner,
+                         const FtGmresOptions& opts, InnerGmresT<S>& inner,
                          FtGmresWorkspace& w) {
   const la::Vector x0(A.cols());
   FgmresEngine engine(A, b.span(), x0.span(), opts.outer, w.outer);
@@ -139,20 +165,6 @@ FtGmresResult drive_solo(const LinearOperator& A, const la::Vector& b,
   return detail::make_ft_gmres_result(engine.take_result(), inner.records());
 }
 
-/// Solo drive of a mixed-plane configuration: the inner solves run on
-/// the narrowed <S, I> mirror cached in the workspace; the outer
-/// iteration (and its products) stays on the original double operator.
-template <typename S, typename I>
-FtGmresResult ft_gmres_mixed(const LinearOperator& A, const la::Vector& b,
-                             const FtGmresOptions& opts,
-                             ArnoldiHook* inner_hook, FtGmresWorkspace& w) {
-  MixedPlaneOf<S>& plane = ensure_plane<S, I>(w.plane, A);
-  MixedInnerGmresT<S> inner(plane.typed_op(), opts.inner, inner_hook,
-                            opts.robust_first_inner,
-                            &inner_workspace_for<S>(w), opts.recovery);
-  return drive_solo(A, b, opts, inner, w);
-}
-
 } // namespace
 
 FtGmresResult ft_gmres(const LinearOperator& A, const la::Vector& b,
@@ -160,22 +172,15 @@ FtGmresResult ft_gmres(const LinearOperator& A, const la::Vector& b,
                        FtGmresWorkspace* ws) {
   FtGmresWorkspace local;
   FtGmresWorkspace& w = (ws != nullptr) ? *ws : local;
-  // Non-default (precision, index_width) pairs route the inner solves
-  // through the narrowed mirror; the default pair keeps the original
-  // path (no mirror is ever built, no staging copies happen).
-  if (opts.precision == Precision::Float) {
-    if (opts.index_width == IndexWidth::I32) {
-      return ft_gmres_mixed<float, std::int32_t>(A, b, opts, inner_hook, w);
-    }
-    return ft_gmres_mixed<float, std::int64_t>(A, b, opts, inner_hook, w);
-  }
-  if (opts.index_width == IndexWidth::I32) {
-    return ft_gmres_mixed<double, std::int32_t>(A, b, opts, inner_hook, w);
-  }
-  InnerGmresPreconditioner inner(A, opts.inner, inner_hook,
-                                 opts.robust_first_inner, &w.inner,
-                                 opts.recovery);
-  return drive_solo(A, b, opts, inner, w);
+  // The inner solves run on the operator the (precision, index_width)
+  // pair selects; the outer iteration (and its products) stays on A.
+  return with_inner_operator(
+      A, opts, w.plane, [&]<typename S>(const OperatorT<S>& inner_op) {
+        InnerGmresT<S> inner(inner_op, opts.inner, inner_hook,
+                             opts.robust_first_inner,
+                             &inner_workspace_for<S>(w), opts.recovery);
+        return drive_solo(A, b, opts, inner, w);
+      });
 }
 
 FtGmresResult ft_gmres(const sparse::CsrMatrix& A, const la::Vector& b,

@@ -11,6 +11,7 @@
 /// the same purpose.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "krylov/fgmres.hpp"
@@ -63,13 +64,14 @@ struct FtGmresOptions {
                        ///< flexible outer absorbs it like any other inner
                        ///< perturbation.  The outer iteration is always
                        ///< double.
-  IndexWidth index_width = IndexWidth::I64; ///< CSR index width of the
+  IndexWidth index_width = IndexWidth::I64; ///< index width of the
                        ///< inner-solve mirror; I32 halves index traffic
                        ///< (narrowing validates, throws on overflow) and
                        ///< never changes arithmetic, so double/I32 results
                        ///< are bitwise identical to the default.  Any
                        ///< non-default (precision, index_width) pair
-                       ///< requires a CSR-backed operator.
+                       ///< requires a matrix-backed (CSR or SELL)
+                       ///< operator.
 
   /// Paper-style defaults: 25 fixed inner iterations, outer tol 1e-8.
   FtGmresOptions() {
@@ -131,11 +133,17 @@ struct FtGmresResult {
 };
 
 /// Inner GMRES exposed as a flexible preconditioner: each application
-/// approximately solves A z = q from a zero initial guess, running
-/// span-to-span out of the outer solver's arenas (q is an outer basis
-/// column, z an outer Z-arena column; no owning la::Vector crosses the
-/// boundary).  The optional hook observes/corrupts the inner Arnoldi
-/// process; the hook's solve_index equals the outer iteration index.
+/// approximately solves A z = q from a zero initial guess on the inner
+/// data plane of scalar \p S, running span-to-span out of the outer
+/// solver's arenas (q is an outer basis column, z an outer Z-arena
+/// column; no owning la::Vector crosses the boundary).  The optional hook
+/// observes/corrupts the inner Arnoldi process; the hook's solve_index
+/// equals the outer iteration index.
+///
+/// For S = double the engine runs directly on q and z.  For a narrowed
+/// plane (S = float) q is down-converted into per-instance staging on
+/// entry (make_engine) and the correction up-converted into z on exit
+/// (finish_engine); the outer iteration never sees the narrowed scalar.
 ///
 /// There is ONE construction path for the inner solve -- make_engine() --
 /// shared by apply() (the solo FT-GMRES path, which drives the engine
@@ -144,7 +152,8 @@ struct FtGmresResult {
 /// instances so each inner Arnoldi iteration issues one fused
 /// apply_block).  finish_engine() closes the bookkeeping either way, so
 /// the two drivers can never diverge in options plumbing or records.
-class InnerGmresPreconditioner final : public FlexiblePreconditioner {
+template <typename S>
+class InnerGmresT final : public FlexiblePreconditioner {
 public:
   /// \param ws optional reusable workspace for the inner solves; one inner
   ///        solve runs per outer iteration, so a matching workspace makes
@@ -152,11 +161,10 @@ public:
   ///        falls back to an internally owned workspace (same reuse
   ///        semantics, same results -- workspace contents never leak
   ///        between solves).
-  InnerGmresPreconditioner(const LinearOperator& A, const GmresOptions& opts,
-                           ArnoldiHook* hook = nullptr,
-                           bool robust_first_solve = false,
-                           KrylovWorkspace* ws = nullptr,
-                           InnerRecovery recovery = InnerRecovery::None)
+  InnerGmresT(const OperatorT<S>& A, const GmresOptions& opts,
+              ArnoldiHook* hook = nullptr, bool robust_first_solve = false,
+              KrylovWorkspaceT<S>* ws = nullptr,
+              InnerRecovery recovery = InnerRecovery::None)
       : a_(&A), opts_(opts), hook_(hook),
         robust_first_solve_(robust_first_solve), ws_(ws),
         recovery_(recovery) {}
@@ -165,29 +173,30 @@ public:
   void apply(std::span<const double> q, std::size_t outer_index,
              std::span<double> z) override;
 
-  /// Batch seam: zero-fill \p z and construct the step-driveable engine
+  /// Batch seam: zero the iterate and construct the step-driveable engine
   /// of the inner solve for outer iteration \p outer_index (b = \p q, the
-  /// outer basis column; x = \p z, the outer Z-arena column; hook,
-  /// robust-first-solve orthogonalization, and workspace plumbing exactly
-  /// as apply() uses).  The caller drives the engine to completion --
-  /// solo or interleaved with other instances -- and then hands it to
-  /// finish_engine().
-  [[nodiscard]] GmresEngine make_engine(std::span<const double> q,
-                                        std::size_t outer_index,
-                                        std::span<double> z);
+  /// outer basis column; x = \p z, the outer Z-arena column -- or their
+  /// staged copies on a narrowed plane; hook, robust-first-solve
+  /// orthogonalization, and workspace plumbing exactly as apply() uses).
+  /// The caller drives the engine to completion -- solo or interleaved
+  /// with other instances -- and then hands it to finish_engine().
+  [[nodiscard]] GmresEngineT<S> make_engine(std::span<const double> q,
+                                            std::size_t outer_index,
+                                            std::span<double> z);
 
   /// Record the finished engine's inner-solve bookkeeping (exactly the
-  /// record apply() produces).  With recovery RestartOuter, an engine
-  /// that finished AbortedByDetector marks its record
-  /// triggered_outer_restart -- the driver must then call
-  /// FgmresEngine::restart_cycle() instead of direction()/advance()
-  /// (query via last_record_requests_outer_restart()).
-  void finish_engine(const GmresEngine& engine);
+  /// record apply() produces) and, on a narrowed plane, widen its
+  /// correction into z.  With recovery RestartOuter, an engine that
+  /// finished AbortedByDetector marks its record triggered_outer_restart
+  /// -- the driver must then call FgmresEngine::restart_cycle() instead
+  /// of direction()/advance() (query via
+  /// last_record_requests_outer_restart()).
+  void finish_engine(const GmresEngineT<S>& engine);
 
   /// True when \p engine finished AbortedByDetector and the RetryReliable
   /// policy wants it recomputed: hand the engine to
   /// make_reliable_retry() instead of finish_engine().
-  [[nodiscard]] bool wants_reliable_retry(const GmresEngine& engine) const {
+  [[nodiscard]] bool wants_reliable_retry(const GmresEngineT<S>& engine) const {
     return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
            engine.finished() &&
            engine.stats().status == SolveStatus::AbortedByDetector;
@@ -196,9 +205,12 @@ public:
   /// Build the reliable recomputation of the flagged inner solve: same
   /// operands and options as the engine make_engine() last produced, but
   /// with the hook detached -- injection disabled, the paper's
-  /// selective-reliability recompute.  The aborted attempt's effort is
-  /// carried into the eventual record (finish_engine sums both attempts).
-  [[nodiscard]] GmresEngine make_reliable_retry(const GmresEngine& aborted);
+  /// selective-reliability recompute (at the plane's precision: reduced
+  /// precision is a deliberate configuration, not a fault).  The aborted
+  /// attempt's effort is carried into the eventual record (finish_engine
+  /// sums both attempts).
+  [[nodiscard]] GmresEngineT<S> make_reliable_retry(
+      const GmresEngineT<S>& aborted);
 
   /// True when the most recent record was flagged for the RestartOuter
   /// policy (the driver's cue to call FgmresEngine::restart_cycle()).
@@ -216,29 +228,42 @@ private:
   /// robust_first_solve is set (paper Section VII-E-1).
   [[nodiscard]] GmresOptions options_for(std::size_t outer_index) const;
 
-  [[nodiscard]] KrylovWorkspace& workspace() noexcept {
+  /// Zero the engine iterate and construct an engine over the current
+  /// operands with \p hook attached.
+  [[nodiscard]] GmresEngineT<S> start_engine(ArnoldiHook* hook);
+
+  [[nodiscard]] KrylovWorkspaceT<S>& workspace() noexcept {
     return ws_ != nullptr ? *ws_ : fallback_ws_;
   }
 
-  const LinearOperator* a_;
+  const OperatorT<S>* a_;
   GmresOptions opts_;
   ArnoldiHook* hook_;
   bool robust_first_solve_;
-  KrylovWorkspace* ws_;
-  KrylovWorkspace fallback_ws_;
+  KrylovWorkspaceT<S>* ws_;
+  KrylovWorkspaceT<S> fallback_ws_;
   InnerRecovery recovery_ = InnerRecovery::None;
   std::vector<InnerSolveRecord> records_;
   // Operands of the engine make_engine() last produced, kept so
-  // make_reliable_retry can rebuild the same solve hook-free; the pending_*
-  // counters carry the aborted attempt's effort into the final record.
-  std::span<const double> cur_q_;
+  // make_reliable_retry can rebuild the same solve hook-free: the engine's
+  // b/x at the plane's scalar (q and z themselves when S is double,
+  // otherwise the stable per-instance staging below) and the outer column
+  // z.  The pending_* counters carry the aborted attempt's effort into the
+  // final record.
+  std::span<const S> cur_q_;
+  std::span<S> cur_x_;
   std::span<double> cur_z_;
+  la::VectorT<S> q_staged_;
+  la::VectorT<S> z_staged_;
   std::size_t cur_outer_ = 0;
   std::size_t pending_retry_iters_ = 0;
   std::size_t pending_retry_applies_ = 0;
   std::size_t pending_retry_syncs_ = 0;
   bool retrying_ = false;
 };
+
+/// The reliable-plane inner solve.
+using InnerGmresPreconditioner = InnerGmresT<double>;
 
 namespace detail {
 /// Assemble an FtGmresResult from the outer FGMRES result and the inner

@@ -1,6 +1,5 @@
 #include "krylov/ft_gmres_batch.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -25,18 +24,18 @@ namespace {
 /// block skips the staging copies and applies directly -- same operand,
 /// same values, no detour.
 ///
-/// Generic over the inner plane: Op is the LinearOperator on the default
-/// double path or a MixedCsrOperator mirror, S its scalar; the staging
-/// blocks are typed to match.
-template <typename Op, typename S, typename OnDone>
-void step_inner_block(const Op& A, std::vector<GmresEngineT<S>>& inners,
+/// Typed on the inner plane's scalar S, like its operator and staging
+/// blocks.
+template <typename S, typename OnDone>
+void step_inner_block(const OperatorT<S>& A,
+                      std::vector<GmresEngineT<S>>& inners,
                       std::vector<std::size_t>& live,
                       std::vector<std::size_t>& still_live,
                       la::BlockWorkspaceT<S>& directions,
                       la::BlockWorkspaceT<S>& products, OnDone&& on_done) {
   const std::size_t cols = live.size();
   if (cols == 1) {
-    if (step_with_apply_t(A, inners[live[0]]) && !on_done(live[0]))
+    if (step_with_apply(A, inners[live[0]]) && !on_done(live[0]))
       live.clear();
     return;
   }
@@ -77,78 +76,28 @@ void step_inner_block(const Op& A, std::vector<GmresEngineT<S>>& inners,
   live.swap(still_live);
 }
 
-/// Inner-plane facade of the default path: inner products stream the
-/// original double operator and the inner lockstep phase shares the
-/// outer phase's staging blocks (the two levels never overlap in time).
-struct DoublePlaneFacade {
-  using Scalar = double;
-  using Precond = InnerGmresPreconditioner;
-
-  const LinearOperator* a;
-  FtGmresBatchWorkspace* w;
-
-  [[nodiscard]] const LinearOperator& inner_op() const noexcept { return *a; }
-  [[nodiscard]] la::BlockWorkspace& directions() const noexcept {
-    return w->directions;
-  }
-  [[nodiscard]] la::BlockWorkspace& products() const noexcept {
-    return w->products;
-  }
-  [[nodiscard]] Precond make_precond(std::size_t i, const FtGmresOptions& opts,
-                                     ArnoldiHook* hook) const {
-    return Precond(*a, opts.inner, hook, opts.robust_first_inner,
-                   &w->instances[i].inner, opts.recovery);
-  }
-};
-
-/// Inner-plane facade of a mixed configuration: inner products stream
-/// the narrowed <S, I> mirror (one copy shared by the whole batch); a
-/// float plane stages through the dedicated float blocks, the
-/// (double, int32) plane reuses the double blocks bit-for-bit.
+/// The inner lockstep phase's staging blocks at the plane's scalar: the
+/// double plane shares the outer phase's blocks (the two levels never
+/// overlap in time), a float plane stages through the float blocks.
 template <typename S>
-struct MixedPlaneFacade {
-  using Scalar = S;
-  using Precond = MixedInnerGmresT<S>;
+std::pair<la::BlockWorkspaceT<S>*, la::BlockWorkspaceT<S>*>
+inner_staging(FtGmresBatchWorkspace& w) noexcept {
+  if constexpr (std::is_same_v<S, double>) {
+    return {&w.directions, &w.products};
+  } else {
+    return {&w.directions_f32, &w.products_f32};
+  }
+}
 
-  MixedPlaneOf<S>* plane;
-  FtGmresBatchWorkspace* w;
-
-  [[nodiscard]] const MixedOperatorT<S>& inner_op() const noexcept {
-    return plane->typed_op();
-  }
-  [[nodiscard]] la::BlockWorkspaceT<S>& directions() const noexcept {
-    if constexpr (std::is_same_v<S, double>) {
-      return w->directions;
-    } else {
-      return w->directions_f32;
-    }
-  }
-  [[nodiscard]] la::BlockWorkspaceT<S>& products() const noexcept {
-    if constexpr (std::is_same_v<S, double>) {
-      return w->products;
-    } else {
-      return w->products_f32;
-    }
-  }
-  [[nodiscard]] Precond make_precond(std::size_t i, const FtGmresOptions& opts,
-                                     ArnoldiHook* hook) const {
-    return Precond(plane->typed_op(), opts.inner, hook,
-                   opts.robust_first_inner,
-                   &inner_workspace_for<S>(w->instances[i]), opts.recovery);
-  }
-};
-
-/// The lockstep driver, generic over the inner plane.  The outer
-/// (reliable) phase always runs in double against the original operator;
-/// only the inner phase's engines, staging, and products are typed on
-/// the plane's scalar.  Instantiated with DoublePlaneFacade this is
-/// operation-for-operation the pre-mixed-plane driver.
-template <typename Plane>
+/// The lockstep driver.  The outer (reliable) phase always runs in
+/// double against the original operator \p A; only the inner phase's
+/// engines, staging, and products are typed on the scalar of \p inner_op
+/// (A itself on the default plane, otherwise the shared narrowed mirror).
+template <typename S>
 std::vector<FtGmresResult> ft_gmres_batch_impl(
-    const LinearOperator& A, const Plane& plane,
+    const LinearOperator& A, const OperatorT<S>& inner_op,
     std::span<const std::span<const double>> bs, const FtGmresOptions& opts,
     std::span<ArnoldiHook* const> inner_hooks, FtGmresBatchWorkspace& w) {
-  using S = typename Plane::Scalar;
   const std::size_t batch = bs.size();
   std::vector<FtGmresResult> results(batch);
 
@@ -157,19 +106,22 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
   if (w.instances.size() < batch) w.instances.resize(batch);
   w.directions.reserve(A.cols(), batch);
   w.products.reserve(A.rows(), batch);
-  plane.directions().reserve(A.cols(), batch);
-  plane.products().reserve(A.rows(), batch);
+  const auto [inner_directions, inner_products] = inner_staging<S>(w);
+  inner_directions->reserve(A.cols(), batch);
+  inner_products->reserve(A.rows(), batch);
 
   // Paper protocol (same as ft_gmres): every instance starts from zero.
   const la::Vector x0(A.cols());
 
-  std::vector<typename Plane::Precond> inner;
+  std::vector<InnerGmresT<S>> inner;
   inner.reserve(batch);
   std::vector<FgmresEngine> engines;
   engines.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     ArnoldiHook* hook = inner_hooks.empty() ? nullptr : inner_hooks[i];
-    inner.push_back(plane.make_precond(i, opts, hook));
+    inner.emplace_back(inner_op, opts.inner, hook, opts.robust_first_inner,
+                       &inner_workspace_for<S>(w.instances[i]),
+                       opts.recovery);
     engines.emplace_back(A, bs[i], x0.span(), opts.outer,
                          w.instances[i].outer);
   }
@@ -211,15 +163,15 @@ std::vector<FtGmresResult> ft_gmres_batch_impl(
       inner_live.push_back(s);
     }
     while (!inner_live.empty()) {
-      step_inner_block(plane.inner_op(), inners, inner_live, inner_scratch,
-                       plane.directions(), plane.products(),
+      step_inner_block(inner_op, inners, inner_live, inner_scratch,
+                       *inner_directions, *inner_products,
                        [&](std::size_t s) {
                          // Terminal inner engine: the RetryReliable policy
                          // replaces a detector-aborted engine in place with
                          // its hook-free recompute (same operands, same
                          // lockstep slot), which simply keeps iterating in
                          // the block.  Same turnover apply() performs solo.
-                         typename Plane::Precond& p = inner[active[s]];
+                         InnerGmresT<S>& p = inner[active[s]];
                          if (!p.wants_reliable_retry(inners[s])) return false;
                          inners[s] = p.make_reliable_retry(inners[s]);
                          return true;
@@ -302,26 +254,13 @@ std::vector<FtGmresResult> ft_gmres_batch(
 
   FtGmresBatchWorkspace local;
   FtGmresBatchWorkspace& w = (ws != nullptr) ? *ws : local;
-  // Non-default (precision, index_width) pairs run the inner lockstep
-  // phase on the narrowed mirror (one copy shared by all instances);
-  // the default pair never builds a mirror and is the original driver.
-  if (opts.precision == Precision::Float) {
-    if (opts.index_width == IndexWidth::I32) {
-      MixedPlaneFacade<float> plane{
-          &ensure_plane<float, std::int32_t>(w.plane, A), &w};
-      return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-    }
-    MixedPlaneFacade<float> plane{
-        &ensure_plane<float, std::int64_t>(w.plane, A), &w};
-    return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-  }
-  if (opts.index_width == IndexWidth::I32) {
-    MixedPlaneFacade<double> plane{
-        &ensure_plane<double, std::int32_t>(w.plane, A), &w};
-    return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
-  }
-  const DoublePlaneFacade plane{&A, &w};
-  return ft_gmres_batch_impl(A, plane, bs, opts, inner_hooks, w);
+  // One inner operator for the whole batch: a non-default (precision,
+  // index_width) pair narrows one mirror that every lockstep instance
+  // shares (read-only during applies, atomic counters).
+  return with_inner_operator(
+      A, opts, w.plane, [&]<typename S>(const OperatorT<S>& inner_op) {
+        return ft_gmres_batch_impl(A, inner_op, bs, opts, inner_hooks, w);
+      });
 }
 
 std::vector<FtGmresResult> ft_gmres_batch(

@@ -636,20 +636,6 @@ bool GmresEngineT<S>::finish_cycle(bool aborted, bool breakdown,
 template class GmresEngineT<double>;
 template class GmresEngineT<float>;
 
-bool step_with_apply(const LinearOperator& A, GmresEngine& engine) {
-  if (engine.awaiting_residual()) {
-    A.apply(engine.residual_operand(), engine.residual_target());
-    return engine.start_cycle();
-  }
-  engine.begin_iteration();
-  A.apply(engine.direction(), engine.v_target());
-  return engine.advance();
-}
-
-void drive_to_completion(const LinearOperator& A, GmresEngine& engine) {
-  while (!engine.finished()) step_with_apply(A, engine);
-}
-
 GmresStats gmres_in_place(const LinearOperator& A, std::span<const double> b,
                           std::span<double> x, const GmresOptions& opts,
                           ArnoldiHook* hook, std::size_t solve_index,

@@ -107,7 +107,7 @@ struct GmresStats {
 
 /// Step-driveable GMRES: the single implementation behind gmres(),
 /// gmres_in_place(), and the FT-GMRES inner solve
-/// (InnerGmresPreconditioner).  Mirrors krylov::FgmresEngine: the
+/// (InnerGmresT).  Mirrors krylov::FgmresEngine: the
 /// iteration is split at its external data dependencies -- the operator
 /// applications -- so a lockstep driver can interleave many engines and
 /// fuse their products into one apply_block per step.
@@ -322,13 +322,25 @@ using GmresEngine = GmresEngineT<double>;
 /// advance().  Returns finished().  This is the unit the batch driver's
 /// one-live-engine tails reuse; lockstep blocks run the same step with
 /// the product replaced by a fused apply_block column.
-bool step_with_apply(const LinearOperator& A, GmresEngine& engine);
+template <typename S>
+bool step_with_apply(const OperatorT<S>& A, GmresEngineT<S>& engine) {
+  if (engine.awaiting_residual()) {
+    A.apply(engine.residual_operand(), engine.residual_target());
+    return engine.start_cycle();
+  }
+  engine.begin_iteration();
+  A.apply(engine.direction(), engine.v_target());
+  return engine.advance();
+}
 
 /// Drive \p engine to completion with solo operator applications -- the
 /// canonical straight-through loop (shown in the GmresEngine docs),
 /// shared by gmres_in_place() and the solo FT-GMRES inner-solve path so
 /// the protocol exists exactly once.
-void drive_to_completion(const LinearOperator& A, GmresEngine& engine);
+template <typename S>
+void drive_to_completion(const OperatorT<S>& A, GmresEngineT<S>& engine) {
+  while (!engine.finished()) step_with_apply(A, engine);
+}
 
 /// Span-core GMRES: solve A x = b with \p x holding the initial guess on
 /// entry and the final iterate on exit.  This is the zero-copy entry point

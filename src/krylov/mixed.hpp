@@ -7,72 +7,42 @@
 /// iteration absorbs whatever perturbation they produce.  Reduced
 /// precision is exactly such a perturbation, so the inner solves -- and
 /// only the inner solves -- may run on a narrowed data plane: a float32
-/// and/or int32-indexed mirror of the CSR matrix, float32 Krylov basis,
-/// Hessenberg QR, and BLAS.  The reliable outer FGMRES stays double and
-/// keeps streaming the original operator.
+/// and/or int32-indexed mirror of the outer operator's matrix (CSR or
+/// SELL, whichever the outer streams), float32 Krylov basis, Hessenberg
+/// QR, and BLAS.  The reliable outer FGMRES stays double and keeps
+/// streaming the original operator.
 ///
-/// The pieces:
-///
-///   * MixedPlane<S, I>: the CSR instantiation of the mixed-plane cache
-///     slot (the abstract seam -- MixedOperatorT / MixedPlaneBase /
-///     MixedPlaneOf -- lives in mixed_plane.hpp, and the SELL
-///     instantiation in sell_operator.hpp).  ensure_plane() builds the
-///     right instantiation for the OUTER operator's storage format on
-///     first use and reuses it while the source matrix is unchanged, so
-///     repeated solves (the sweep) pay the narrowing once.
-///   * MixedCsrOperator<S, I>: the counting apply/apply_block seam of the
-///     narrowed CSR matrix.  Deliberately NOT a LinearOperator (that
-///     seam is double); it reports the same OperatorStats vocabulary,
-///     with scalar_bytes/index_bytes computed at sizeof(S)/sizeof(I).
-///   * MixedInnerGmresT<S>: the mixed mirror of
-///     InnerGmresPreconditioner -- same make_engine/finish_engine batch
-///     seam, same records, same recovery turnover -- that down-converts
-///     the outer residual column on entry and up-converts the inner
-///     correction on exit.  It drives any MixedOperatorT<S>, so one
-///     instantiation serves every storage format and index width.  For
-///     S = double (the index=32 configuration) the staging copies are
-///     bitwise exact, so (double, int32) results are bit-identical to
-///     the default path: indices never enter the arithmetic.
-///
-/// step_with_apply_t / drive_to_completion_t generalize the gmres.hpp
-/// drivers over any operator exposing apply(span<const S>, span<S>).
+/// Every layer is one template over the inner scalar S: the inner solve
+/// is InnerGmresT<S> (ft_gmres.hpp) over an OperatorT<S>, and the mirror
+/// is a MatrixOperator over CsrMatrixT/SellMatrixT.  with_inner_operator()
+/// is the single (precision, index_width) dispatch both drivers share;
+/// (double, int64) is the identity narrowing -- the inner solves stream
+/// the outer operator itself and no mirror is built.
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <type_traits>
-#include <vector>
 
 #include "krylov/ft_gmres.hpp"
-#include "krylov/gmres.hpp"
 #include "krylov/mixed_plane.hpp"
 #include "krylov/operator.hpp"
 #include "krylov/precision.hpp"
 #include "krylov/sell_operator.hpp"
 #include "krylov/workspace.hpp"
-#include "la/vector.hpp"
 #include "sparse/csr_mixed.hpp"
+#include "sparse/sell.hpp"
 
 namespace sdcgmres::krylov {
 
-/// Narrowing / widening staging copies between the double outer plane
-/// and the scalar-S inner plane.  Both are bitwise copies when S is
-/// double.
-template <typename S>
-inline void narrow_into(std::span<const double> src, std::span<S> dst) {
-  for (std::size_t i = 0; i < src.size(); ++i)
-    dst[i] = static_cast<S>(src[i]);
-}
-
-template <typename S>
-inline void widen_into(std::span<const S> src, std::span<double> dst) {
-  for (std::size_t i = 0; i < src.size(); ++i)
-    dst[i] = static_cast<double>(src[i]);
-}
+/// Counting operators over the narrowed mirrors.
+template <typename S, typename I>
+using MixedCsrOperator = MatrixOperator<sparse::CsrMatrixT<S, I>>;
+template <typename S, typename I>
+using MixedSellOperator = MatrixOperator<sparse::SellMatrixT<S, I>>;
 
 /// The S-typed inner workspace slot of an FtGmresWorkspace: the double
-/// plane reuses the standard inner slot, float configurations use the
+/// plane uses the standard inner slot, float configurations use the
 /// dedicated float arena.
 template <typename S>
 [[nodiscard]] inline KrylovWorkspaceT<S>&
@@ -84,286 +54,61 @@ inner_workspace_for(FtGmresWorkspace& w) noexcept {
   }
 }
 
-/// Counting apply seam of the narrowed CSR mirror: the CSR instantiation
-/// of MixedOperatorT<S> (counting wrappers and stats live in the base;
-/// see mixed_plane.hpp).
-template <typename S, typename I>
-class MixedCsrOperator final : public MixedOperatorT<S> {
-public:
-  explicit MixedCsrOperator(const sparse::CsrMatrixT<S, I>& A) : a_(&A) {}
-
-  [[nodiscard]] std::size_t rows() const noexcept override {
-    return a_->rows();
+namespace detail {
+/// Fetch the cached mirror \p M of \p src, narrowing a fresh one when the
+/// slot holds another instantiation or another source matrix.
+template <typename M, typename Source>
+[[nodiscard]] MixedPlaneOf<typename M::scalar_type>&
+ensure_mirror(std::shared_ptr<MixedPlaneBase>& cache, const Source& src) {
+  if (auto* hit = dynamic_cast<MirrorPlane<M>*>(cache.get());
+      hit != nullptr && hit->source() == &src) {
+    return *hit;
   }
-  [[nodiscard]] std::size_t cols() const noexcept override {
-    return a_->cols();
-  }
-
-protected:
-  void do_apply(std::span<const S> x, std::span<S> y) const override {
-    a_->spmv(x, y);
-  }
-  /// Columns are bitwise identical to apply() per column -- the lockstep
-  /// contract, unchanged at reduced precision.
-  void do_apply_block(const la::BasisViewT<S>& x,
-                      la::BlockViewT<S> y) const override {
-    a_->spmm(x, y);
-  }
-  /// One stream with C operand columns: values once + C operand and C
-  /// result columns, all at sizeof(S).
-  [[nodiscard]] std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept override {
-    return sizeof(S) * (a_->nnz() + columns * (a_->rows() + a_->cols()));
-  }
-  /// row_ptr (rows+1) + col_idx (nnz) at the compressed sizeof(I).
-  [[nodiscard]] std::size_t do_index_bytes() const noexcept override {
-    return sizeof(I) * (a_->nnz() + a_->rows() + 1);
-  }
-
-private:
-  const sparse::CsrMatrixT<S, I>* a_;
-};
-
-/// One (scalar, index) instantiation of the narrowed CSR mirror: the
-/// compressed matrix copy plus its counting operator.
-template <typename S, typename I>
-class MixedPlane final : public MixedPlaneOf<S> {
-public:
-  /// Narrows \p a (throws std::overflow_error when the shape overflows
-  /// the index type I -- see CsrMatrixT).
-  explicit MixedPlane(const sparse::CsrMatrix& a)
-      : matrix(a), op(matrix), src_(&a) {}
-
-  [[nodiscard]] OperatorStats stats() const noexcept override {
-    return op.stats();
-  }
-  void reset_stats() const noexcept override { op.reset_stats(); }
-  [[nodiscard]] const void* source() const noexcept override { return src_; }
-  [[nodiscard]] const MixedOperatorT<S>& typed_op() const noexcept override {
-    return op;
-  }
-
-  sparse::CsrMatrixT<S, I> matrix;
-  MixedCsrOperator<S, I> op;
-
-private:
-  const void* src_;
-};
+  auto fresh = std::make_shared<MirrorPlane<M>>(src);
+  cache = fresh;
+  return *fresh;
+}
+} // namespace detail
 
 /// Fetch (building or reusing) the <S, I> mirror of \p A in the cache
 /// slot \p cache, narrowing whatever storage format the outer operator
 /// streams: a CsrOperator gets a CsrMatrixT mirror, a SellOperator gets
 /// a SellMatrixT mirror of the same chunk geometry (so inner results
-/// stay bitwise identical across backends at every precision).  The
-/// mirror is rebuilt only when the slot holds a different instantiation
-/// or a different source matrix, so repeated solves through one
-/// workspace narrow once.  Throws std::invalid_argument when \p A is
-/// not matrix-backed: the mixed plane narrows a concrete matrix, not an
-/// abstract operator.
+/// stay bitwise identical across backends at every precision).  Repeated
+/// solves through one workspace narrow once.  Throws
+/// std::invalid_argument when \p A is not matrix-backed: the mixed plane
+/// narrows a concrete matrix, not an abstract operator.
 template <typename S, typename I>
 [[nodiscard]] inline MixedPlaneOf<S>&
 ensure_plane(std::shared_ptr<MixedPlaneBase>& cache,
              const LinearOperator& A) {
-  if (const auto* csr = dynamic_cast<const CsrOperator*>(&A);
-      csr != nullptr) {
-    if (auto* hit = dynamic_cast<MixedPlane<S, I>*>(cache.get());
-        hit != nullptr && hit->source() == &csr->matrix()) {
-      return *hit;
-    }
-    auto fresh = std::make_shared<MixedPlane<S, I>>(csr->matrix());
-    cache = fresh;
-    return *fresh;
+  if (const auto* csr = dynamic_cast<const CsrOperator*>(&A)) {
+    return detail::ensure_mirror<sparse::CsrMatrixT<S, I>>(cache,
+                                                           csr->matrix());
   }
-  if (const auto* sell = dynamic_cast<const SellOperator*>(&A);
-      sell != nullptr) {
-    if (auto* hit = dynamic_cast<SellMixedPlane<S, I>*>(cache.get());
-        hit != nullptr && hit->source() == &sell->matrix()) {
-      return *hit;
-    }
-    auto fresh = std::make_shared<SellMixedPlane<S, I>>(sell->matrix());
-    cache = fresh;
-    return *fresh;
+  if (const auto* sell = dynamic_cast<const SellOperator*>(&A)) {
+    return detail::ensure_mirror<sparse::SellMatrixT<S, I>>(cache,
+                                                            sell->matrix());
   }
   throw std::invalid_argument(
       "ft_gmres: mixed precision/index configurations require a "
       "matrix-backed (csr/sell) operator");
 }
 
-/// One protocol step of an S-typed engine against any operator exposing
-/// apply(span<const S>, span<S>) -- the generic form of
-/// step_with_apply() (gmres.hpp), same sequence of operations.
-template <typename Op, typename S>
-inline bool step_with_apply_t(const Op& A, GmresEngineT<S>& engine) {
-  if (engine.awaiting_residual()) {
-    A.apply(engine.residual_operand(), engine.residual_target());
-    return engine.start_cycle();
+/// The one (precision, index_width) dispatch of ft_gmres and
+/// ft_gmres_batch: calls \p run with the inner solves' OperatorT<S> --
+/// the <S, I> mirror of \p A cached in \p cache for non-default pairs,
+/// and \p A itself for (double, int64), which leaves \p cache untouched.
+template <typename Run>
+auto with_inner_operator(const LinearOperator& A, const FtGmresOptions& opts,
+                         std::shared_ptr<MixedPlaneBase>& cache, Run&& run) {
+  const bool i32 = opts.index_width == IndexWidth::I32;
+  if (opts.precision == Precision::Float) {
+    return i32 ? run(ensure_plane<float, std::int32_t>(cache, A).typed_op())
+               : run(ensure_plane<float, std::int64_t>(cache, A).typed_op());
   }
-  engine.begin_iteration();
-  A.apply(engine.direction(), engine.v_target());
-  return engine.advance();
+  return i32 ? run(ensure_plane<double, std::int32_t>(cache, A).typed_op())
+             : run(A);
 }
-
-/// Drive an S-typed engine to completion (generic form of
-/// drive_to_completion()).
-template <typename Op, typename S>
-inline void drive_to_completion_t(const Op& A, GmresEngineT<S>& engine) {
-  while (!step_with_apply_t(A, engine)) {
-  }
-}
-
-/// The mixed-plane mirror of InnerGmresPreconditioner: each application
-/// approximately solves A z = q at the plane's precision from a zero
-/// initial guess.  The outer residual column q is down-converted into
-/// per-instance staging on entry (make_engine) and the inner correction
-/// up-converted into the outer Z-arena column on exit (finish_engine);
-/// with S = double both conversions are bitwise copies, so the
-/// (double, int32) configuration reproduces the default path bit for
-/// bit.  Identical make_engine/finish_engine batch seam, records,
-/// options plumbing (robust first inner via CGS2), and recovery
-/// turnover as the double preconditioner, so the solo and lockstep
-/// drivers can never diverge from their reliable counterparts in
-/// bookkeeping.
-template <typename S>
-class MixedInnerGmresT {
-public:
-  MixedInnerGmresT(const MixedOperatorT<S>& A, const GmresOptions& opts,
-                   ArnoldiHook* hook = nullptr,
-                   bool robust_first_solve = false,
-                   KrylovWorkspaceT<S>* ws = nullptr,
-                   InnerRecovery recovery = InnerRecovery::None)
-      : a_(&A), opts_(opts), hook_(hook),
-        robust_first_solve_(robust_first_solve), ws_(ws),
-        recovery_(recovery) {}
-
-  /// Straight-through drive (the solo FT-GMRES path), including the
-  /// RetryReliable turnover -- mirrors InnerGmresPreconditioner::apply.
-  void apply(std::span<const double> q, std::size_t outer_index,
-             std::span<double> z) {
-    GmresEngineT<S> engine = make_engine(q, outer_index, z);
-    drive_to_completion_t(*a_, engine);
-    if (wants_reliable_retry(engine)) {
-      GmresEngineT<S> retry = make_reliable_retry(engine);
-      drive_to_completion_t(*a_, retry);
-      finish_engine(retry);
-      return;
-    }
-    finish_engine(engine);
-  }
-
-  /// Batch seam: stage q down to the plane's scalar, zero the staged
-  /// iterate, and construct the step-driveable S-typed engine.  The
-  /// caller drives it (solo or interleaved) and hands it to
-  /// finish_engine(), which up-converts the correction into \p z.
-  [[nodiscard]] GmresEngineT<S> make_engine(std::span<const double> q,
-                                            std::size_t outer_index,
-                                            std::span<double> z) {
-    cur_z_ = z;
-    cur_outer_ = outer_index;
-    retrying_ = false;
-    pending_retry_iters_ = 0;
-    pending_retry_applies_ = 0;
-    pending_retry_syncs_ = 0;
-    q_staged_.resize(q.size());
-    z_staged_.resize(z.size());
-    narrow_into<S>(q, q_staged_.span());
-    std::fill(z_staged_.span().begin(), z_staged_.span().end(), S(0));
-    return GmresEngineT<S>(a_->rows(), a_->cols(),
-                           std::span<const S>(q_staged_.span()),
-                           z_staged_.span(), options_for(outer_index), hook_,
-                           outer_index, workspace(),
-                           /*residual_history=*/nullptr);
-  }
-
-  /// Up-convert the finished engine's correction into the outer Z-arena
-  /// column and record its bookkeeping (exactly the record the reliable
-  /// preconditioner produces).
-  void finish_engine(const GmresEngineT<S>& engine) {
-    widen_into<S>(z_staged_.span(), cur_z_);
-    const GmresStats& inner = engine.stats();
-    InnerSolveRecord rec{.outer_index = engine.solve_index(),
-                         .status = inner.status,
-                         .iterations =
-                             pending_retry_iters_ + inner.iterations,
-                         .operator_applies =
-                             pending_retry_applies_ + inner.operator_applies,
-                         .residual_norm = inner.residual_norm};
-    rec.global_syncs = pending_retry_syncs_ + inner.global_syncs;
-    rec.reliable_retries = retrying_ ? 1 : 0;
-    rec.triggered_outer_restart =
-        recovery_ == InnerRecovery::RestartOuter &&
-        inner.status == SolveStatus::AbortedByDetector;
-    records_.push_back(rec);
-    retrying_ = false;
-    pending_retry_iters_ = 0;
-    pending_retry_applies_ = 0;
-    pending_retry_syncs_ = 0;
-  }
-
-  [[nodiscard]] bool wants_reliable_retry(
-      const GmresEngineT<S>& engine) const {
-    return recovery_ == InnerRecovery::RetryReliable && !retrying_ &&
-           engine.finished() &&
-           engine.stats().status == SolveStatus::AbortedByDetector;
-  }
-
-  /// Hook-free recompute of the flagged inner solve on the same staged
-  /// operands (selective reliability: the retry stays at the plane's
-  /// precision -- reduced precision is a deliberate configuration, not
-  /// a fault).
-  [[nodiscard]] GmresEngineT<S> make_reliable_retry(
-      const GmresEngineT<S>& aborted) {
-    pending_retry_iters_ = aborted.stats().iterations;
-    pending_retry_applies_ = aborted.stats().operator_applies;
-    pending_retry_syncs_ = aborted.stats().global_syncs;
-    retrying_ = true;
-    std::fill(z_staged_.span().begin(), z_staged_.span().end(), S(0));
-    return GmresEngineT<S>(a_->rows(), a_->cols(),
-                           std::span<const S>(q_staged_.span()),
-                           z_staged_.span(), options_for(cur_outer_),
-                           /*hook=*/nullptr, cur_outer_, workspace(),
-                           /*residual_history=*/nullptr);
-  }
-
-  [[nodiscard]] bool last_record_requests_outer_restart() const {
-    return !records_.empty() && records_.back().triggered_outer_restart;
-  }
-
-  [[nodiscard]] const std::vector<InnerSolveRecord>& records() const {
-    return records_;
-  }
-
-private:
-  [[nodiscard]] GmresOptions options_for(std::size_t outer_index) const {
-    GmresOptions opts = opts_;
-    if (robust_first_solve_ && outer_index == 0) {
-      opts.ortho = Orthogonalization::CGS2;
-    }
-    return opts;
-  }
-
-  [[nodiscard]] KrylovWorkspaceT<S>& workspace() noexcept {
-    return ws_ != nullptr ? *ws_ : fallback_ws_;
-  }
-
-  const MixedOperatorT<S>* a_;
-  GmresOptions opts_;
-  ArnoldiHook* hook_;
-  bool robust_first_solve_;
-  KrylovWorkspaceT<S>* ws_;
-  KrylovWorkspaceT<S> fallback_ws_;
-  InnerRecovery recovery_ = InnerRecovery::None;
-  std::vector<InnerSolveRecord> records_;
-  // Per-instance staging of the engine operands at the plane's scalar
-  // (stable storage: live engines hold spans into these), plus the
-  // outer-side column the correction widens back into.
-  la::VectorT<S> q_staged_;
-  la::VectorT<S> z_staged_;
-  std::span<double> cur_z_;
-  std::size_t cur_outer_ = 0;
-  std::size_t pending_retry_iters_ = 0;
-  std::size_t pending_retry_applies_ = 0;
-  std::size_t pending_retry_syncs_ = 0;
-  bool retrying_ = false;
-};
 
 } // namespace sdcgmres::krylov

@@ -1,107 +1,32 @@
 #pragma once
 /// \file mixed_plane.hpp
-/// \brief Backend-agnostic seam of the mixed-precision inner data plane.
+/// \brief Format-agnostic cache slot of the narrowed inner data plane.
 ///
-/// PR 7 introduced the narrowed inner plane with exactly one storage
-/// format behind it (the CSR mirror).  The multi-backend matrix plane
-/// needs the inner solves to stream whatever format the outer operator
-/// streams -- a SELL-backed solve must narrow the SELL structure, not
-/// secretly fall back to CSR -- so the typed apply seam is split out
-/// here as an abstract base, mirroring LinearOperator's design one
-/// level down:
+/// The inner solves of a non-default precision=/index= configuration
+/// stream a narrowed mirror of whatever format the outer operator streams
+/// (a SELL-backed solve narrows the SELL structure, not a CSR fallback).
+/// The pieces:
 ///
-///   * MixedOperatorT<S>: public NON-virtual counting wrappers
-///     (apply/apply_block) over protected virtual cores, with the byte
-///     hooks reporting each format's true stored widths.  Deliberately
-///     NOT a LinearOperator (that seam is double-typed).
+///   * MixedOperatorT<S>: the plane's counting operator seam -- simply
+///     OperatorT<S> (operator.hpp), the same template the double plane
+///     uses, so counters, wrappers and byte hooks exist once.
 ///   * MixedPlaneBase: the type-erased cache slot held by the solver
-///     workspaces (moved here from mixed.hpp).
-///   * MixedPlaneOf<S>: the scalar-typed layer between the two -- what
-///     ensure_plane() returns, so inner engines can be constructed
-///     against the plane's typed operator without knowing the format or
-///     index width.
-///
-/// Virtual dispatch changes no arithmetic: a MixedCsrOperator reached
-/// through MixedOperatorT<S> produces the same bits it always did.
+///     workspaces.
+///   * MixedPlaneOf<S>: the scalar-typed layer -- what ensure_plane()
+///     returns, so inner engines can be constructed against the plane's
+///     typed operator without knowing the format or index width.
+///   * MirrorPlane<M>: one narrowed matrix M (CsrMatrixT or SellMatrixT
+///     at some (S, I)) plus its MatrixOperator.
 
-#include <atomic>
 #include <cstddef>
 
 #include "krylov/operator.hpp"
-#include "la/block.hpp"
-#include "la/krylov_basis.hpp"
 
 namespace sdcgmres::krylov {
 
-/// Abstract counting apply seam of a narrowed matrix mirror, typed on
-/// the plane's scalar S.  Same counters and stats vocabulary as
-/// LinearOperator (relaxed atomics, so a const operator shared by
-/// lockstep instances counts exactly); scalar/index byte accounting is
-/// delegated to the format so padding and index compression are both
-/// reflected at their true stored widths.
+/// The narrowed plane's operator seam (one template with the double one).
 template <typename S>
-class MixedOperatorT {
-public:
-  virtual ~MixedOperatorT() = default;
-
-  [[nodiscard]] virtual std::size_t rows() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t cols() const noexcept = 0;
-
-  /// y := A*x at the plane's precision (counted: one stream, one column).
-  void apply(std::span<const S> x, std::span<S> y) const {
-    apply_calls_.fetch_add(1, std::memory_order_relaxed);
-    scalar_bytes_.fetch_add(do_scalar_bytes(1), std::memory_order_relaxed);
-    index_bytes_.fetch_add(do_index_bytes(), std::memory_order_relaxed);
-    do_apply(x, y);
-  }
-
-  /// Y := A*X fused over the block (counted: one stream, X.cols()
-  /// columns).  Columns must be bitwise identical to apply() per column
-  /// -- the lockstep contract, unchanged at reduced precision.
-  void apply_block(const la::BasisViewT<S>& x, la::BlockViewT<S> y) const {
-    apply_block_calls_.fetch_add(1, std::memory_order_relaxed);
-    block_columns_.fetch_add(x.cols(), std::memory_order_relaxed);
-    scalar_bytes_.fetch_add(do_scalar_bytes(x.cols()),
-                            std::memory_order_relaxed);
-    index_bytes_.fetch_add(do_index_bytes(), std::memory_order_relaxed);
-    do_apply_block(x, y);
-  }
-
-  [[nodiscard]] OperatorStats stats() const noexcept {
-    return {.apply_calls = apply_calls_.load(std::memory_order_relaxed),
-            .apply_block_calls =
-                apply_block_calls_.load(std::memory_order_relaxed),
-            .block_columns = block_columns_.load(std::memory_order_relaxed),
-            .scalar_bytes = scalar_bytes_.load(std::memory_order_relaxed),
-            .index_bytes = index_bytes_.load(std::memory_order_relaxed)};
-  }
-
-  void reset_stats() const noexcept {
-    apply_calls_.store(0, std::memory_order_relaxed);
-    apply_block_calls_.store(0, std::memory_order_relaxed);
-    block_columns_.store(0, std::memory_order_relaxed);
-    scalar_bytes_.store(0, std::memory_order_relaxed);
-    index_bytes_.store(0, std::memory_order_relaxed);
-  }
-
-protected:
-  virtual void do_apply(std::span<const S> x, std::span<S> y) const = 0;
-  virtual void do_apply_block(const la::BasisViewT<S>& x,
-                              la::BlockViewT<S> y) const = 0;
-  /// Scalar bytes of one matrix stream with \p columns operand/result
-  /// columns, at the format's true stored widths (padding included).
-  [[nodiscard]] virtual std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept = 0;
-  /// Index bytes of one matrix stream at the compressed index width.
-  [[nodiscard]] virtual std::size_t do_index_bytes() const noexcept = 0;
-
-private:
-  mutable std::atomic<std::size_t> apply_calls_{0};
-  mutable std::atomic<std::size_t> apply_block_calls_{0};
-  mutable std::atomic<std::size_t> block_columns_{0};
-  mutable std::atomic<std::size_t> scalar_bytes_{0};
-  mutable std::atomic<std::size_t> index_bytes_{0};
-};
+using MixedOperatorT = OperatorT<S>;
 
 /// Type-erased cache slot for one narrowed mirror (see
 /// FtGmresWorkspace::plane).  stats() surfaces the mirror's traffic so
@@ -125,7 +50,33 @@ template <typename S>
 class MixedPlaneOf : public MixedPlaneBase {
 public:
   /// The plane's S-typed counting operator.
-  [[nodiscard]] virtual const MixedOperatorT<S>& typed_op() const noexcept = 0;
+  [[nodiscard]] virtual const OperatorT<S>& typed_op() const noexcept = 0;
+};
+
+/// One narrowed mirror: the matrix \p M, narrowed from its source at
+/// construction (throws std::overflow_error when the shape overflows
+/// M's index type), plus its counting operator.
+template <typename M>
+class MirrorPlane final : public MixedPlaneOf<typename M::scalar_type> {
+public:
+  template <typename Source>
+  explicit MirrorPlane(const Source& a) : matrix(a), op(matrix), src_(&a) {}
+
+  [[nodiscard]] OperatorStats stats() const noexcept override {
+    return op.stats();
+  }
+  void reset_stats() const noexcept override { op.reset_stats(); }
+  [[nodiscard]] const void* source() const noexcept override { return src_; }
+  [[nodiscard]] const OperatorT<typename M::scalar_type>&
+  typed_op() const noexcept override {
+    return op;
+  }
+
+  M matrix;
+  MatrixOperator<M> op;
+
+private:
+  const void* src_;
 };
 
 } // namespace sdcgmres::krylov

@@ -16,10 +16,17 @@
 /// wrappers: every application is tallied in per-instance OperatorStats
 /// (calls and operand columns), which is how the batched sweep proves its
 /// matrix-traffic reduction with measured numbers instead of wall-clock.
+///
+/// One template serves every data plane: OperatorT<S> is typed on the
+/// scalar it streams, LinearOperator (= OperatorT<double>) is the reliable
+/// plane, and OperatorT<float> is the narrowed inner plane of FT-GMRES
+/// (krylov/mixed.hpp).  MatrixOperator<M> is the one counting adapter over
+/// a stored matrix: CSR or SELL, at any (scalar, index) width.
 
 #include <atomic>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 
 #include "la/block.hpp"
 #include "la/krylov_basis.hpp"
@@ -71,10 +78,11 @@ struct OperatorStats {
   }
 };
 
-/// Abstract y = A*x.
-class LinearOperator {
+/// Abstract y = A*x at scalar \p S.
+template <typename S>
+class OperatorT {
 public:
-  virtual ~LinearOperator() = default;
+  virtual ~OperatorT() = default;
 
   [[nodiscard]] virtual std::size_t rows() const = 0;
   [[nodiscard]] virtual std::size_t cols() const = 0;
@@ -82,7 +90,7 @@ public:
   /// y := A*x, the span entry point.  x.size() must equal cols() and
   /// y.size() must equal rows(); x and y must not alias.  The
   /// implementation (do_apply) must write every entry of y.
-  void apply(std::span<const double> x, std::span<double> y) const {
+  void apply(std::span<const S> x, std::span<S> y) const {
     apply_calls_.fetch_add(1, std::memory_order_relaxed);
     scalar_bytes_.fetch_add(do_scalar_bytes(1), std::memory_order_relaxed);
     index_bytes_.fetch_add(do_index_bytes(1), std::memory_order_relaxed);
@@ -90,20 +98,20 @@ public:
   }
 
   /// Convenience: y := A*x for owning vectors; resizes y to rows().
-  void apply(const la::Vector& x, la::Vector& y) const {
+  void apply(const la::VectorT<S>& x, la::VectorT<S>& y) const {
     if (y.size() != rows()) y.resize(rows());
-    apply(std::span<const double>(x.span()), y.span());
+    apply(std::span<const S>(x.span()), y.span());
   }
 
   /// Convenience: y := A*x for a span operand into an owning result.
-  void apply(std::span<const double> x, la::Vector& y) const {
+  void apply(std::span<const S> x, la::VectorT<S>& y) const {
     if (y.size() != rows()) y.resize(rows());
     apply(x, y.span());
   }
 
   /// Convenience: A*x by value.
-  [[nodiscard]] la::Vector operator()(const la::Vector& x) const {
-    la::Vector y(rows());
+  [[nodiscard]] la::VectorT<S> operator()(const la::VectorT<S>& x) const {
+    la::VectorT<S> y(rows());
     apply(x, y);
     return y;
   }
@@ -118,7 +126,7 @@ public:
   /// for free; matrix-backed operators override do_apply_block with a
   /// fused SpMM that streams the matrix once per block.  A zero-column
   /// block is a no-op.
-  void apply_block(const la::BasisView& x, la::BlockView y) const {
+  void apply_block(const la::BasisViewT<S>& x, la::BlockViewT<S> y) const {
     apply_block_calls_.fetch_add(1, std::memory_order_relaxed);
     block_columns_.fetch_add(x.cols(), std::memory_order_relaxed);
     scalar_bytes_.fetch_add(do_scalar_bytes(x.cols()),
@@ -152,24 +160,24 @@ public:
   }
 
 protected:
-  LinearOperator() = default;
+  OperatorT() = default;
   /// Copies/assignments of an implementor carry its configuration, not
   /// its traffic history: the copied-to operator's counters (re)start
   /// at zero.
-  LinearOperator(const LinearOperator&) noexcept {}
-  LinearOperator& operator=(const LinearOperator&) noexcept {
+  OperatorT(const OperatorT&) noexcept {}
+  OperatorT& operator=(const OperatorT&) noexcept {
     reset_stats();
     return *this;
   }
 
   /// Virtual span core (see apply() for the contract).
-  virtual void do_apply(std::span<const double> x,
-                        std::span<double> y) const = 0;
+  virtual void do_apply(std::span<const S> x, std::span<S> y) const = 0;
 
   /// Virtual block core (see apply_block() for the contract).  The
   /// default loops over do_apply so counting stays call-accurate: one
   /// block call, x.cols() columns, however the block is realized.
-  virtual void do_apply_block(const la::BasisView& x, la::BlockView y) const {
+  virtual void do_apply_block(const la::BasisViewT<S>& x,
+                              la::BlockViewT<S> y) const {
     for (std::size_t j = 0; j < x.cols(); ++j) do_apply(x.col(j), y.col(j));
   }
 
@@ -200,47 +208,72 @@ private:
   mutable std::atomic<std::size_t> index_bytes_{0};
 };
 
-/// Adapter exposing a CSR matrix as a LinearOperator (non-owning).
-class CsrOperator final : public LinearOperator {
+/// The reliable (double) plane's operator seam.
+using LinearOperator = OperatorT<double>;
+
+/// Counting operator over a stored sparse matrix (non-owning): any type
+/// with the CsrMatrix/SellMatrix kernel surface -- rows/cols, spmv over
+/// spans, the raw column-major spmm, stored()/index_slots() and the
+/// scalar_type/index_type members.  Byte accounting counts the format's
+/// TRUE stored widths: one stream with C operand columns reads every
+/// stored value slot once (SELL padding included) plus C operand and C
+/// result columns at sizeof(scalar_type), and every index slot once
+/// (row_ptr + col_idx for CSR; padded col_idx + chunk_ptr + slot lengths
+/// + permutation for SELL) at sizeof(index_type).
+template <typename M>
+class MatrixOperator final : public OperatorT<typename M::scalar_type> {
+  using S = typename M::scalar_type;
+
 public:
-  explicit CsrOperator(const sparse::CsrMatrix& A) : a_(&A) {}
+  explicit MatrixOperator(const M& a) : a_(&a) {}
 
-  [[nodiscard]] std::size_t rows() const override { return a_->rows(); }
-  [[nodiscard]] std::size_t cols() const override { return a_->cols(); }
+  [[nodiscard]] std::size_t rows() const noexcept override {
+    return a_->rows();
+  }
+  [[nodiscard]] std::size_t cols() const noexcept override {
+    return a_->cols();
+  }
 
-  [[nodiscard]] const sparse::CsrMatrix& matrix() const { return *a_; }
+  /// The matrix behind the operator (the mixed plane narrows it).
+  [[nodiscard]] const M& matrix() const noexcept { return *a_; }
 
 protected:
   /// Zero-copy SpMV straight between spans (basis column in, workspace
   /// column out).
-  void do_apply(std::span<const double> x,
-                std::span<double> y) const override {
+  void do_apply(std::span<const S> x, std::span<S> y) const override {
     a_->spmv(x, y);
   }
 
   /// Fused SpMM: one pass over the matrix for the whole block instead of
-  /// one per column (columns stay bitwise identical to spmv -- see
-  /// CsrMatrix::spmm).
-  void do_apply_block(const la::BasisView& x, la::BlockView y) const override;
-
-  /// One stream with C operand columns touches the values once and C
-  /// operand + C result columns, all doubles.
-  [[nodiscard]] std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept override {
-    return sizeof(double) *
-           (a_->nnz() + columns * (a_->rows() + a_->cols()));
+  /// one per column (columns stay bitwise identical to spmv).
+  void do_apply_block(const la::BasisViewT<S>& x,
+                      la::BlockViewT<S> y) const override {
+    if (x.rows() != a_->cols() || y.rows() != a_->rows() ||
+        x.cols() != y.cols()) {
+      throw std::invalid_argument("MatrixOperator::apply_block: shape "
+                                  "mismatch");
+    }
+    if (x.cols() == 0) return; // nothing to do; data() may be null
+    a_->spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
   }
 
-  /// row_ptr (rows+1) + col_idx (nnz), stored as size_t.
+  [[nodiscard]] std::size_t
+  do_scalar_bytes(std::size_t columns) const noexcept override {
+    return sizeof(S) * (a_->stored() + columns * (a_->rows() + a_->cols()));
+  }
+
   [[nodiscard]] std::size_t
   do_index_bytes(std::size_t columns) const noexcept override {
     (void)columns;
-    return sizeof(std::size_t) * (a_->nnz() + a_->rows() + 1);
+    return sizeof(typename M::index_type) * a_->index_slots();
   }
 
 private:
-  const sparse::CsrMatrix* a_;
+  const M* a_;
 };
+
+/// Counting operator over a CSR matrix.
+using CsrOperator = MatrixOperator<sparse::CsrMatrix>;
 
 /// Operator scaled by a constant: y = alpha * A * x (used in tests).
 class ScaledOperator final : public LinearOperator {

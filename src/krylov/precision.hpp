@@ -8,7 +8,8 @@
 /// preconditioner application (the same argument that lets the paper run
 /// the inner solves on unreliable hardware).  These enums select, per
 /// FT-GMRES configuration, the scalar type of the inner data plane and
-/// the index width of the narrowed CSR mirror the inner solves stream.
+/// the index width of the narrowed mirror (of the outer operator's CSR or
+/// SELL matrix) the inner solves stream.
 
 namespace sdcgmres::krylov {
 
@@ -18,10 +19,11 @@ enum class Precision {
   Float,  ///< inner basis/Hessenberg/operator applies in float32
 };
 
-/// Index width of the inner-solve CSR mirror.
+/// Index width of the inner-solve mirror.
 enum class IndexWidth {
-  I64, ///< default: the original size_t-indexed CsrMatrix is streamed
-  I32, ///< int32 row_ptr/col_idx mirror (validated at construction)
+  I64, ///< default: 64-bit indices (with double precision the inner
+       ///< solves stream the outer operator itself)
+  I32, ///< int32-indexed mirror (validated at construction)
 };
 
 [[nodiscard]] constexpr const char* to_string(Precision p) noexcept {

@@ -2,132 +2,19 @@
 /// \file sell_operator.hpp
 /// \brief SELL-C-sigma execution backend of the operator seam.
 ///
-/// SellOperator is the LinearOperator over a sparse::SellMatrix -- the
-/// `backend=sell` counterpart of CsrOperator -- and the Mixed* pieces
-/// are its narrowed inner-plane mirrors, so every precision=/index=
-/// configuration works unchanged on a SELL-backed solve (the inner
-/// solves stream a narrowed SELL structure, not a CSR fallback).
-///
-/// Byte accounting counts the format's TRUE stored widths: scalar bytes
-/// include the padding slots (they stream through the cache hierarchy
-/// whether or not the active-prefix kernel multiplies them... and ours
-/// never multiplies them, see sell.hpp), and index bytes count the
-/// padded column indices plus the chunk offsets, slot lengths, and
-/// scatter permutation the kernels walk per pass.
+/// SellOperator is the counting operator over a sparse::SellMatrix -- the
+/// `backend=sell` counterpart of CsrOperator and the same
+/// MatrixOperator template (see operator.hpp for the byte accounting,
+/// which counts SELL's padded value slots and its chunk_ptr, slot-length
+/// and permutation arrays at their stored widths).  Results are bitwise
+/// identical to CsrOperator over the source matrix, per column, at any
+/// thread count (sell.hpp documents why).
 
-#include <cstddef>
-#include <span>
-
-#include "krylov/mixed_plane.hpp"
 #include "krylov/operator.hpp"
 #include "sparse/sell.hpp"
 
 namespace sdcgmres::krylov {
 
-/// Counting operator over a SELL-C-sigma matrix.  Results are bitwise
-/// identical to CsrOperator over the source matrix, per column, at any
-/// thread count (sell.hpp documents why).
-class SellOperator final : public LinearOperator {
-public:
-  explicit SellOperator(const sparse::SellMatrix& a) : a_(&a) {}
-
-  [[nodiscard]] std::size_t rows() const noexcept override {
-    return a_->rows();
-  }
-  [[nodiscard]] std::size_t cols() const noexcept override {
-    return a_->cols();
-  }
-
-  /// The SELL structure behind the operator (the mixed plane narrows it).
-  [[nodiscard]] const sparse::SellMatrix& matrix() const noexcept {
-    return *a_;
-  }
-
-protected:
-  void do_apply(std::span<const double> x,
-                std::span<double> y) const override {
-    a_->spmv(x, y);
-  }
-  void do_apply_block(const la::BasisView& x, la::BlockView y) const override;
-
-  /// Padded entry slots once + `columns` operand and result columns, all
-  /// at sizeof(double).
-  [[nodiscard]] std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept override {
-    return sizeof(double) *
-           (a_->stored() + columns * (a_->rows() + a_->cols()));
-  }
-  /// Padded col_idx + chunk_ptr + slot lengths + permutation (independent
-  /// of the operand column count, like CsrOperator's row_ptr + col_idx).
-  [[nodiscard]] std::size_t
-  do_index_bytes(std::size_t columns) const noexcept override {
-    (void)columns;
-    return sizeof(std::size_t) * a_->index_slots();
-  }
-
-private:
-  const sparse::SellMatrix* a_;
-};
-
-/// Counting apply seam of the narrowed SELL mirror (the SELL counterpart
-/// of MixedCsrOperator).
-template <typename S, typename I>
-class MixedSellOperator final : public MixedOperatorT<S> {
-public:
-  explicit MixedSellOperator(const sparse::SellMatrixT<S, I>& a) : a_(&a) {}
-
-  [[nodiscard]] std::size_t rows() const noexcept override {
-    return a_->rows();
-  }
-  [[nodiscard]] std::size_t cols() const noexcept override {
-    return a_->cols();
-  }
-
-protected:
-  void do_apply(std::span<const S> x, std::span<S> y) const override {
-    a_->spmv(x, y);
-  }
-  void do_apply_block(const la::BasisViewT<S>& x,
-                      la::BlockViewT<S> y) const override {
-    a_->spmm(x, y);
-  }
-  [[nodiscard]] std::size_t
-  do_scalar_bytes(std::size_t columns) const noexcept override {
-    return sizeof(S) * (a_->stored() + columns * (a_->rows() + a_->cols()));
-  }
-  [[nodiscard]] std::size_t do_index_bytes() const noexcept override {
-    return sizeof(I) * a_->index_slots();
-  }
-
-private:
-  const sparse::SellMatrixT<S, I>* a_;
-};
-
-/// One (scalar, index) instantiation of the narrowed SELL plane: the
-/// mirror structure plus its counting operator (the SELL counterpart of
-/// MixedPlane<S, I>).
-template <typename S, typename I>
-class SellMixedPlane final : public MixedPlaneOf<S> {
-public:
-  /// Narrows \p a (throws std::overflow_error when the padded shape
-  /// overflows the index type I -- see SellMatrixT).
-  explicit SellMixedPlane(const sparse::SellMatrix& a)
-      : matrix(a), op(matrix), src_(&a) {}
-
-  [[nodiscard]] OperatorStats stats() const noexcept override {
-    return op.stats();
-  }
-  void reset_stats() const noexcept override { op.reset_stats(); }
-  [[nodiscard]] const void* source() const noexcept override { return src_; }
-  [[nodiscard]] const MixedOperatorT<S>& typed_op() const noexcept override {
-    return op;
-  }
-
-  sparse::SellMatrixT<S, I> matrix;
-  MixedSellOperator<S, I> op;
-
-private:
-  const void* src_;
-};
+using SellOperator = MatrixOperator<sparse::SellMatrix>;
 
 } // namespace sdcgmres::krylov

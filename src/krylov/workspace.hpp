@@ -32,7 +32,7 @@
 namespace sdcgmres::krylov {
 
 /// Type-erased cache slot for a narrowed-operator mirror (defined in
-/// krylov/mixed.hpp); forward-declared so the workspace header does not
+/// krylov/mixed_plane.hpp); forward-declared so the workspace header does not
 /// pull in the mixed-precision plane.
 class MixedPlaneBase;
 
@@ -52,8 +52,8 @@ struct FtGmresWorkspace {
   /// Float inner arena for precision=float configurations (unused and
   /// unallocated on the default double path).
   KrylovWorkspaceT<float> inner_f32;
-  /// Cached narrowed-operator mirror (scalar/index-compressed CSR copy +
-  /// bytes-streamed counters) for non-default precision/index
+  /// Cached narrowed-operator mirror (scalar/index-compressed CSR or
+  /// SELL copy + bytes-streamed counters) for non-default precision/index
   /// configurations; null on the default path.
   std::shared_ptr<MixedPlaneBase> plane;
 };

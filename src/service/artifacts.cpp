@@ -1,6 +1,5 @@
 #include "service/artifacts.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "solver/registry.hpp"
@@ -135,53 +134,6 @@ std::shared_ptr<const krylov::MatrixBackend> cached_backend(
             solver::backend_registry().make(backend_key, problem.A);
         const std::size_t bytes = built->resident_bytes();
         return {std::move(built), bytes};
-      });
-}
-
-std::shared_ptr<const sparse::SellMatrixT<float, std::int32_t>>
-cached_sell_mirror32(ArtifactCache& cache,
-                     const experiment::ScenarioSpec& spec,
-                     const experiment::ScenarioProblem& problem) {
-  using Mirror = sparse::SellMatrixT<float, std::int32_t>;
-  // Reuse (or assemble) the spec's backend first -- OUTSIDE the cache
-  // builder below, since get_or_build holds the cache lock while the
-  // builder runs and a nested lookup would deadlock.
-  const std::shared_ptr<const krylov::MatrixBackend> backend =
-      cached_backend(cache, spec, problem);
-  const auto* sell = dynamic_cast<const krylov::SellBackend*>(backend.get());
-  if (sell == nullptr) {
-    throw std::invalid_argument(
-        "cached_sell_mirror32: spec backend '" + backend->name() +
-        "' did not assemble a SELL structure (use backend=sell[:C[:sigma]])");
-  }
-  std::string key = "sell_mirror32|" + backend->name();
-  append_keys(key, spec);
-  return cache.get<Mirror>(
-      key,
-      [backend, sell]()
-          -> std::pair<std::shared_ptr<const Mirror>, std::size_t> {
-        auto mirror = std::make_shared<const Mirror>(sell->matrix());
-        const std::size_t bytes =
-            mirror->stored() * sizeof(float) +
-            mirror->index_slots() * sizeof(std::int32_t);
-        return {std::move(mirror), bytes};
-      });
-}
-
-std::shared_ptr<const sparse::CsrMatrixT<float, std::int32_t>> cached_mirror32(
-    ArtifactCache& cache, const experiment::ScenarioSpec& spec,
-    const experiment::ScenarioProblem& problem) {
-  using Mirror = sparse::CsrMatrixT<float, std::int32_t>;
-  std::string key = "mirror32";
-  append_keys(key, spec);
-  return cache.get<Mirror>(
-      key,
-      [&problem]() -> std::pair<std::shared_ptr<const Mirror>, std::size_t> {
-        auto mirror = std::make_shared<const Mirror>(problem.A);
-        const std::size_t bytes =
-            mirror->nnz() * (sizeof(float) + sizeof(std::int32_t)) +
-            (mirror->rows() + 1) * sizeof(std::int32_t);
-        return {std::move(mirror), bytes};
       });
 }
 

@@ -153,6 +153,12 @@ std::string SweepScheduler::submit(const std::string& body) {
     ++submitted_;
   }
   submit_job(paths_, id, body);
+  {
+    // Bumped only once the job file is in queue/, so a worker the counter
+    // wakes is guaranteed to find it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++queued_signals_;
+  }
   cv_.notify_one();
   return id;
 }
@@ -214,8 +220,11 @@ void SweepScheduler::worker_loop() {
     if (stop_) break;
     const std::string id = pick_and_claim_locked();
     if (id.empty()) {
+      // Wake on stop or on any submission since the (empty) scan above;
+      // the poll only catches jobs that arrive in queue/ by other means.
+      const std::size_t seen = queued_signals_;
       cv_.wait_for(lock, std::chrono::milliseconds(options_.poll_ms),
-                   [this] { return stop_; });
+                   [&] { return stop_ || queued_signals_ != seen; });
       continue;
     }
     ++running_jobs_;

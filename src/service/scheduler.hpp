@@ -134,6 +134,8 @@ private:
   bool stop_ = false;
   std::vector<std::thread> workers_;
   std::size_t seq_ = 0; ///< highest assigned submit sequence number
+  std::size_t queued_signals_ = 0; ///< submit()s whose job file is in
+                                   ///< queue/ (idle workers wait on it)
   std::string last_tenant_; ///< round-robin cursor
   std::map<std::string, JobMeta> meta_; ///< parsed envelopes of known jobs
   std::size_t running_jobs_ = 0;

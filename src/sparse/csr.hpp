@@ -2,7 +2,9 @@
 /// \file csr.hpp
 /// \brief Compressed-sparse-row matrix: the compute format for all solvers.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -12,6 +14,85 @@
 
 namespace sdcgmres::sparse {
 
+namespace detail {
+
+/// CSR spmv core shared by CsrMatrix and its narrowed mirrors
+/// (CsrMatrixT): y := A*x over raw arrays, all arithmetic in S.  OpenMP
+/// splits the row loop; each row sums in ascending-k order, so results
+/// are invariant under the thread count and, for S = double, under the
+/// index type I.
+template <typename S, typename I>
+inline void csr_spmv_core(std::size_t rows, const I* row_ptr,
+                          const I* col_idx, const S* values, const S* x,
+                          S* y) {
+  const auto n = static_cast<std::int64_t>(rows);
+#pragma omp parallel for schedule(static) if (n > 2048)
+  for (std::int64_t ii = 0; ii < n; ++ii) {
+    const auto i = static_cast<std::size_t>(ii);
+    S sum = S(0);
+    const auto kb = static_cast<std::size_t>(row_ptr[i]);
+    const auto ke = static_cast<std::size_t>(row_ptr[i + 1]);
+    for (std::size_t k = kb; k < ke; ++k) {
+      sum += values[k] * x[static_cast<std::size_t>(col_idx[k])];
+    }
+    y[i] = sum;
+  }
+}
+
+/// CSR SpMM core over column-major blocks: right-hand sides in blocks of
+/// 4, one pass over the matrix per block, with one accumulator chain per
+/// column that sums in csr_spmv_core's order -- so every output column
+/// is bitwise identical to a separate spmv of that column.
+template <typename S, typename I>
+inline void csr_spmm_core(std::size_t rows, const I* row_ptr,
+                          const I* col_idx, const S* values,
+                          std::size_t ncols, const S* x, std::size_t ldx,
+                          S* y, std::size_t ldy) {
+  const auto n = static_cast<std::int64_t>(rows);
+  for (std::size_t c0 = 0; c0 < ncols; c0 += 4) {
+    const std::size_t bw = std::min<std::size_t>(4, ncols - c0);
+    const S* x0 = x + c0 * ldx;
+    S* y0 = y + c0 * ldy;
+    if (bw == 4) {
+#pragma omp parallel for schedule(static) if (n > 2048)
+      for (std::int64_t ii = 0; ii < n; ++ii) {
+        const auto i = static_cast<std::size_t>(ii);
+        S s0 = S(0), s1 = S(0), s2 = S(0), s3 = S(0);
+        const auto kb = static_cast<std::size_t>(row_ptr[i]);
+        const auto ke = static_cast<std::size_t>(row_ptr[i + 1]);
+        for (std::size_t k = kb; k < ke; ++k) {
+          const S a = values[k];
+          const auto j = static_cast<std::size_t>(col_idx[k]);
+          s0 += a * x0[j];
+          s1 += a * x0[j + ldx];
+          s2 += a * x0[j + 2 * ldx];
+          s3 += a * x0[j + 3 * ldx];
+        }
+        y0[i] = s0;
+        y0[i + ldy] = s1;
+        y0[i + 2 * ldy] = s2;
+        y0[i + 3 * ldy] = s3;
+      }
+    } else {
+#pragma omp parallel for schedule(static) if (n > 2048)
+      for (std::int64_t ii = 0; ii < n; ++ii) {
+        const auto i = static_cast<std::size_t>(ii);
+        S s[4] = {S(0), S(0), S(0), S(0)};
+        const auto kb = static_cast<std::size_t>(row_ptr[i]);
+        const auto ke = static_cast<std::size_t>(row_ptr[i + 1]);
+        for (std::size_t k = kb; k < ke; ++k) {
+          const S a = values[k];
+          const auto j = static_cast<std::size_t>(col_idx[k]);
+          for (std::size_t c = 0; c < bw; ++c) s[c] += a * x0[j + c * ldx];
+        }
+        for (std::size_t c = 0; c < bw; ++c) y0[i + c * ldy] = s[c];
+      }
+    }
+  }
+}
+
+} // namespace detail
+
 /// Immutable CSR sparse matrix.
 ///
 /// Construction goes through CooMatrix (which sums duplicates), so the row
@@ -19,6 +100,9 @@ namespace sdcgmres::sparse {
 /// column indices are strictly increasing.
 class CsrMatrix {
 public:
+  using scalar_type = double;
+  using index_type = std::size_t;
+
   CsrMatrix() = default;
 
   /// Build from a coordinate matrix.  \p coo is compressed (sorted,
@@ -33,6 +117,12 @@ public:
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return values_.size(); }
+  /// Value slots one matrix pass streams (CSR stores no padding).
+  [[nodiscard]] std::size_t stored() const noexcept { return nnz(); }
+  /// Index-typed slots one matrix pass streams: row_ptr + col_idx.
+  [[nodiscard]] std::size_t index_slots() const noexcept {
+    return row_ptr_.size() + col_idx_.size();
+  }
 
   [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept {
     return row_ptr_;

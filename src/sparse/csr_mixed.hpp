@@ -19,15 +19,13 @@
 /// overflow.  Per-entry column indices need no separate check -- they are
 /// < cols by the source matrix's invariants.
 ///
-/// The kernels mirror sparse::CsrMatrix's spmv/spmm one-to-one: same row
-/// loop, same 4-wide right-hand-side blocking, same OpenMP thresholds, all
-/// arithmetic in S.  For S = double the narrowed indices do not change a
-/// single floating-point operation, so a (double, int32) mirror produces
-/// bitwise identical results to the source matrix -- the identity the
-/// index-width tests pin down.
+/// The kernels are sparse::CsrMatrix's own (detail::csr_spmv_core /
+/// csr_spmm_core in csr.hpp), instantiated at (S, I).  For S = double the
+/// narrowed indices do not change a single floating-point operation, so a
+/// (double, int32) mirror produces bitwise identical results to the
+/// source matrix -- the identity the index-width tests pin down.
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -45,6 +43,8 @@ template <typename S, typename I>
 class CsrMatrixT {
 public:
   static_assert(std::is_integral_v<I>, "index type must be integral");
+  using scalar_type = S;
+  using index_type = I;
 
   CsrMatrixT() = default;
 
@@ -77,6 +77,10 @@ public:
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return values_.size(); }
+  [[nodiscard]] std::size_t stored() const noexcept { return nnz(); }
+  [[nodiscard]] std::size_t index_slots() const noexcept {
+    return row_ptr_.size() + col_idx_.size();
+  }
 
   [[nodiscard]] const std::vector<I>& row_ptr() const noexcept {
     return row_ptr_;
@@ -97,20 +101,8 @@ public:
     if (y.size() != rows_) {
       throw std::invalid_argument("CsrMatrixT::spmv: y size mismatch");
     }
-    const S* px = x.data();
-    S* py = y.data();
-    const auto n = static_cast<std::int64_t>(rows_);
-#pragma omp parallel for schedule(static) if (n > 2048)
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const auto i = static_cast<std::size_t>(ii);
-      S sum = S(0);
-      const auto kb = static_cast<std::size_t>(row_ptr_[i]);
-      const auto ke = static_cast<std::size_t>(row_ptr_[i + 1]);
-      for (std::size_t k = kb; k < ke; ++k) {
-        sum += values_[k] * px[static_cast<std::size_t>(col_idx_[k])];
-      }
-      py[i] = sum;
-    }
+    detail::csr_spmv_core(rows_, row_ptr_.data(), col_idx_.data(),
+                          values_.data(), x.data(), y.data());
   }
 
   /// Raw SpMM core over column-major blocks; mirrors CsrMatrix::spmm
@@ -120,47 +112,8 @@ public:
   void spmm(std::size_t ncols, const S* x, std::size_t ldx, S* y,
             std::size_t ldy) const {
     if (ncols == 0) return;
-    const auto n = static_cast<std::int64_t>(rows_);
-    for (std::size_t c0 = 0; c0 < ncols; c0 += 4) {
-      const std::size_t bw = std::min<std::size_t>(4, ncols - c0);
-      const S* x0 = x + c0 * ldx;
-      S* y0 = y + c0 * ldy;
-      if (bw == 4) {
-#pragma omp parallel for schedule(static) if (n > 2048)
-        for (std::int64_t ii = 0; ii < n; ++ii) {
-          const auto i = static_cast<std::size_t>(ii);
-          S s0 = S(0), s1 = S(0), s2 = S(0), s3 = S(0);
-          const auto kb = static_cast<std::size_t>(row_ptr_[i]);
-          const auto ke = static_cast<std::size_t>(row_ptr_[i + 1]);
-          for (std::size_t k = kb; k < ke; ++k) {
-            const S a = values_[k];
-            const auto j = static_cast<std::size_t>(col_idx_[k]);
-            s0 += a * x0[j];
-            s1 += a * x0[j + ldx];
-            s2 += a * x0[j + 2 * ldx];
-            s3 += a * x0[j + 3 * ldx];
-          }
-          y0[i] = s0;
-          y0[i + ldy] = s1;
-          y0[i + 2 * ldy] = s2;
-          y0[i + 3 * ldy] = s3;
-        }
-      } else {
-#pragma omp parallel for schedule(static) if (n > 2048)
-        for (std::int64_t ii = 0; ii < n; ++ii) {
-          const auto i = static_cast<std::size_t>(ii);
-          S s[4] = {S(0), S(0), S(0), S(0)};
-          const auto kb = static_cast<std::size_t>(row_ptr_[i]);
-          const auto ke = static_cast<std::size_t>(row_ptr_[i + 1]);
-          for (std::size_t k = kb; k < ke; ++k) {
-            const S a = values_[k];
-            const auto j = static_cast<std::size_t>(col_idx_[k]);
-            for (std::size_t c = 0; c < bw; ++c) s[c] += a * x0[j + c * ldx];
-          }
-          for (std::size_t c = 0; c < bw; ++c) y0[i + c * ldy] = s[c];
-        }
-      }
-    }
+    detail::csr_spmm_core(rows_, row_ptr_.data(), col_idx_.data(),
+                          values_.data(), ncols, x, ldx, y, ldy);
   }
 
   /// Y := A*X over block views (the lockstep staging path of the batched

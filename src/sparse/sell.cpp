@@ -8,7 +8,7 @@ namespace sdcgmres::sparse {
 
 SellMatrix::SellMatrix(const CsrMatrix& src, std::size_t chunk,
                        std::size_t sigma_chunks)
-    : rows_(src.rows()), cols_(src.cols()), nnz_(src.nnz()), chunk_(chunk),
+    : SellStorage(src.rows(), src.cols(), src.nnz(), chunk),
       sigma_(sigma_chunks) {
   if (chunk == 0 || chunk > kMaxChunk) {
     throw std::invalid_argument(
@@ -69,57 +69,6 @@ SellMatrix::SellMatrix(const CsrMatrix& src, std::size_t chunk,
       col_idx_[slot] = sci[kb + j];
     }
   }
-}
-
-void SellMatrix::spmv(std::span<const double> x, std::span<double> y) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("SellMatrix::spmv: x size mismatch");
-  }
-  if (y.size() != rows_) {
-    throw std::invalid_argument("SellMatrix::spmv: y size mismatch");
-  }
-  const double* px = x.data();
-  double* py = y.data();
-  const auto run = [&](auto c0) {
-    detail::sell_spmv_core<decltype(c0)::value, double, std::size_t>(
-        rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(), perm_.data(),
-        values_.data(), col_idx_.data(), px, py);
-  };
-  switch (chunk_) {
-  case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-  case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-  case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-  case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-  default: run(std::integral_constant<std::size_t, 0>{}); break;
-  }
-}
-
-void SellMatrix::spmm(std::size_t ncols, const double* x, std::size_t ldx,
-                      double* y, std::size_t ldy) const {
-  if (ncols == 0) return;
-  const auto run = [&](auto c0) {
-    detail::sell_spmm_core<decltype(c0)::value, double, std::size_t>(
-        rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(), perm_.data(),
-        values_.data(), col_idx_.data(), ncols, x, ldx, y, ldy);
-  };
-  switch (chunk_) {
-  case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-  case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-  case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-  case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-  default: run(std::integral_constant<std::size_t, 0>{}); break;
-  }
-}
-
-void SellMatrix::spmm(const la::BasisView& x, la::BlockView y) const {
-  if (x.cols() == 0 && y.cols() == 0) return;
-  if (x.rows() != cols_) {
-    throw std::invalid_argument("SellMatrix::spmm: X row count mismatch");
-  }
-  if (y.rows() != rows_ || y.cols() != x.cols()) {
-    throw std::invalid_argument("SellMatrix::spmm: Y shape mismatch");
-  }
-  spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
 }
 
 } // namespace sdcgmres::sparse

@@ -65,8 +65,9 @@ namespace detail {
 /// Hard cap on the chunk height: bounds the generic kernels' stack
 /// accumulators (C doubles per right-hand side per chunk).
 inline constexpr std::size_t kSellMaxChunk = 256;
+inline constexpr std::size_t kSellDefaultChunk = 8;
 
-/// SELL spmv core shared by SellMatrix and SellMatrixT.  C0 is the
+/// SELL spmv core shared by every SellStorage instantiation.  C0 is the
 /// compile-time chunk height (0 selects the runtime-\p chunk generic
 /// path); \p len holds the non-increasing slot lengths per chunk and the
 /// active-prefix loop guarantees padding slots are never read.
@@ -200,14 +201,144 @@ inline void sell_spmm_core(std::size_t rows, std::size_t n_chunks,
   }
 }
 
+/// Storage and kernels shared by SellMatrix and its narrowed mirrors
+/// SellMatrixT<S, I>: the chunked arrays (see the file comment for the
+/// layout) plus the spmv/spmm entry points over the shared cores above,
+/// dispatched once on the chunk height.
+template <typename S, typename I>
+class SellStorage {
+public:
+  using scalar_type = S;
+  using index_type = I;
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+  /// Stored nonzeros of the SOURCE matrix (excludes padding).
+  [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
+  /// Padded entry slots actually stored (values().size()): what the
+  /// kernels stream, and what byte accounting must count.
+  [[nodiscard]] std::size_t stored() const noexcept { return values_.size(); }
+  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
+  [[nodiscard]] std::size_t n_chunks() const noexcept { return n_chunks_; }
+
+  [[nodiscard]] const std::vector<I>& chunk_ptr() const noexcept {
+    return chunk_ptr_;
+  }
+  /// Per-slot row lengths (n_chunks()*chunk() entries, non-increasing
+  /// inside each chunk; phantom slots past rows() have length 0).
+  [[nodiscard]] const std::vector<I>& slot_lengths() const noexcept {
+    return len_;
+  }
+  /// perm()[s]: original row held by slot s.
+  [[nodiscard]] const std::vector<I>& perm() const noexcept { return perm_; }
+  [[nodiscard]] const std::vector<S>& values() const noexcept {
+    return values_;
+  }
+  [[nodiscard]] const std::vector<I>& col_idx() const noexcept {
+    return col_idx_;
+  }
+
+  /// Index-typed slots the kernels stream per matrix pass: padded column
+  /// indices + chunk_ptr + slot lengths + the scatter permutation.  The
+  /// operator's index-byte accounting multiplies this by the index width.
+  [[nodiscard]] std::size_t index_slots() const noexcept {
+    return col_idx_.size() + chunk_ptr_.size() + len_.size() + perm_.size();
+  }
+
+  /// y := A*x, the span core (same contract as CsrMatrix::spmv: exact
+  /// sizes, no aliasing).  Results are bitwise identical to CSR's spmv at
+  /// the same scalar, at any thread count.
+  void spmv(std::span<const S> x, std::span<S> y) const {
+    if (x.size() != cols_) {
+      throw std::invalid_argument("SellMatrix::spmv: x size mismatch");
+    }
+    if (y.size() != rows_) {
+      throw std::invalid_argument("SellMatrix::spmv: y size mismatch");
+    }
+    with_chunk([&](auto c0) {
+      sell_spmv_core<decltype(c0)::value, S, I>(
+          rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
+          perm_.data(), values_.data(), col_idx_.data(), x.data(), y.data());
+    });
+  }
+
+  /// Raw SpMM core over column-major blocks (same contract as
+  /// CsrMatrix::spmm); each output column is bitwise identical to a
+  /// separate spmv of that column.
+  void spmm(std::size_t ncols, const S* x, std::size_t ldx, S* y,
+            std::size_t ldy) const {
+    if (ncols == 0) return;
+    with_chunk([&](auto c0) {
+      sell_spmm_core<decltype(c0)::value, S, I>(
+          rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
+          perm_.data(), values_.data(), col_idx_.data(), ncols, x, ldx, y,
+          ldy);
+    });
+  }
+
+  /// Y := A*X over block views (the operator's fused apply_block path).
+  void spmm(const la::BasisViewT<S>& x, la::BlockViewT<S> y) const {
+    if (x.cols() == 0 && y.cols() == 0) return;
+    if (x.rows() != cols_) {
+      throw std::invalid_argument("SellMatrix::spmm: X row count mismatch");
+    }
+    if (y.rows() != rows_ || y.cols() != x.cols()) {
+      throw std::invalid_argument("SellMatrix::spmm: Y shape mismatch");
+    }
+    spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
+  }
+
+protected:
+  SellStorage() = default;
+  SellStorage(std::size_t rows, std::size_t cols, std::size_t nnz,
+              std::size_t chunk)
+      : rows_(rows), cols_(cols), nnz_(nnz), chunk_(chunk) {}
+  /// Element-wise converting copy of another instantiation's arrays (the
+  /// caller has checked that its shape fits I).
+  template <typename S2, typename I2>
+  explicit SellStorage(const SellStorage<S2, I2>& src)
+      : rows_(src.rows()), cols_(src.cols()), nnz_(src.nnz()),
+        chunk_(src.chunk()), n_chunks_(src.n_chunks()),
+        chunk_ptr_(src.chunk_ptr().begin(), src.chunk_ptr().end()),
+        len_(src.slot_lengths().begin(), src.slot_lengths().end()),
+        perm_(src.perm().begin(), src.perm().end()),
+        values_(src.values().begin(), src.values().end()),
+        col_idx_(src.col_idx().begin(), src.col_idx().end()) {}
+
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::size_t nnz_ = 0;
+  std::size_t chunk_ = kSellDefaultChunk;
+  std::size_t n_chunks_ = 0;
+  std::vector<I> chunk_ptr_{0};
+  std::vector<I> len_;
+  std::vector<I> perm_;
+  std::vector<S> values_;
+  std::vector<I> col_idx_;
+
+private:
+  /// Run \p run with the chunk height as a compile-time constant for the
+  /// common heights (0 selects the cores' runtime-chunk generic path).
+  template <typename Run>
+  void with_chunk(Run&& run) const {
+    switch (chunk_) {
+    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
+    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
+    case 16: run(std::integral_constant<std::size_t, 16>{}); break;
+    case 32: run(std::integral_constant<std::size_t, 32>{}); break;
+    default: run(std::integral_constant<std::size_t, 0>{}); break;
+    }
+  }
+};
+
 } // namespace detail
 
 /// Immutable SELL-C-sigma matrix (double values, size_t indices) built
 /// from a validated CsrMatrix.  See the file comment for the layout and
 /// the padding-inertness argument.
-class SellMatrix {
+class SellMatrix : public detail::SellStorage<double, std::size_t> {
 public:
-  static constexpr std::size_t kDefaultChunk = 8;
+  static constexpr std::size_t kDefaultChunk = detail::kSellDefaultChunk;
   static constexpr std::size_t kDefaultSigmaChunks = 1;
   static constexpr std::size_t kMaxChunk = detail::kSellMaxChunk;
 
@@ -220,13 +351,6 @@ public:
   explicit SellMatrix(const CsrMatrix& src, std::size_t chunk = kDefaultChunk,
                       std::size_t sigma_chunks = kDefaultSigmaChunks);
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  /// Stored nonzeros of the SOURCE matrix (excludes padding).
-  [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
-  /// Padded entry slots actually stored (values().size()): what the
-  /// kernels stream, and what byte accounting must count.
-  [[nodiscard]] std::size_t stored() const noexcept { return values_.size(); }
   /// stored()/nnz(): the padding overhead factor (1.0 when empty).
   [[nodiscard]] double padding_ratio() const noexcept {
     return nnz_ == 0 ? 1.0
@@ -234,71 +358,19 @@ public:
                            static_cast<double>(nnz_);
   }
 
-  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
   [[nodiscard]] std::size_t sigma_chunks() const noexcept { return sigma_; }
-  [[nodiscard]] std::size_t n_chunks() const noexcept { return n_chunks_; }
   /// Padded width of chunk \p c (entries per slot).
   [[nodiscard]] std::size_t chunk_width(std::size_t c) const {
     return (chunk_ptr_.at(c + 1) - chunk_ptr_.at(c)) / chunk_;
-  }
-
-  [[nodiscard]] const std::vector<std::size_t>& chunk_ptr() const noexcept {
-    return chunk_ptr_;
-  }
-  /// Per-slot row lengths (n_chunks()*chunk() entries, non-increasing
-  /// inside each chunk; phantom slots past rows() have length 0).
-  [[nodiscard]] const std::vector<std::size_t>& slot_lengths() const noexcept {
-    return len_;
-  }
-  /// perm()[s]: original row held by slot s.
-  [[nodiscard]] const std::vector<std::size_t>& perm() const noexcept {
-    return perm_;
   }
   /// inv_perm()[i]: slot holding original row i.
   [[nodiscard]] const std::vector<std::size_t>& inv_perm() const noexcept {
     return inv_perm_;
   }
-  [[nodiscard]] const std::vector<double>& values() const noexcept {
-    return values_;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& col_idx() const noexcept {
-    return col_idx_;
-  }
-
-  /// Index-typed slots the kernels stream per matrix pass: padded column
-  /// indices + chunk_ptr + slot lengths + the scatter permutation.  The
-  /// operator's index-byte accounting multiplies this by the index width.
-  [[nodiscard]] std::size_t index_slots() const noexcept {
-    return col_idx_.size() + chunk_ptr_.size() + len_.size() + perm_.size();
-  }
-
-  /// y := A*x, the span core (same contract as CsrMatrix::spmv: exact
-  /// sizes, no aliasing).  Results are bitwise identical to
-  /// CsrMatrix::spmv at any thread count.
-  void spmv(std::span<const double> x, std::span<double> y) const;
-
-  /// Raw SpMM core over column-major blocks (same contract as
-  /// CsrMatrix::spmm); each output column is bitwise identical to a
-  /// separate spmv of that column.
-  void spmm(std::size_t ncols, const double* x, std::size_t ldx, double* y,
-            std::size_t ldy) const;
-
-  /// Y := A*X over block views (the operator's fused apply_block path).
-  void spmm(const la::BasisView& x, la::BlockView y) const;
 
 private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t nnz_ = 0;
-  std::size_t chunk_ = kDefaultChunk;
   std::size_t sigma_ = kDefaultSigmaChunks;
-  std::size_t n_chunks_ = 0;
-  std::vector<std::size_t> perm_;
   std::vector<std::size_t> inv_perm_;
-  std::vector<std::size_t> chunk_ptr_{0};
-  std::vector<std::size_t> len_;
-  std::vector<double> values_;
-  std::vector<std::size_t> col_idx_;
 };
 
 /// Narrowed SELL mirror with scalar type \p S and index type \p I: the
@@ -308,7 +380,7 @@ private:
 /// identical to the SellMatrix, and an (S, I) mirror is bitwise
 /// identical per column to the same-S CsrMatrixT mirror.
 template <typename S, typename I>
-class SellMatrixT {
+class SellMatrixT : public detail::SellStorage<S, I> {
 public:
   static_assert(std::is_integral_v<I>, "index type must be integral");
 
@@ -318,8 +390,10 @@ public:
   /// padded entry count (which chunk_ptr entries reach) overflow \p I;
   /// slot lengths and permutation entries are bounded by cols and rows.
   explicit SellMatrixT(const SellMatrix& src)
-      : rows_(src.rows()), cols_(src.cols()), nnz_(src.nnz()),
-        chunk_(src.chunk()), n_chunks_(src.n_chunks()) {
+      : detail::SellStorage<S, I>(fits(src)) {}
+
+private:
+  static const SellMatrix& fits(const SellMatrix& src) {
     const auto max_index =
         static_cast<std::size_t>(std::numeric_limits<I>::max());
     if (src.rows() > max_index || src.cols() > max_index ||
@@ -327,110 +401,8 @@ public:
       throw std::overflow_error(
           "SellMatrixT: matrix shape overflows the compressed index type");
     }
-    const auto narrow = [](const std::vector<std::size_t>& v) {
-      std::vector<I> out;
-      out.reserve(v.size());
-      for (const std::size_t e : v) out.push_back(static_cast<I>(e));
-      return out;
-    };
-    chunk_ptr_ = narrow(src.chunk_ptr());
-    len_ = narrow(src.slot_lengths());
-    perm_ = narrow(src.perm());
-    col_idx_ = narrow(src.col_idx());
-    values_.reserve(src.stored());
-    for (const double v : src.values()) values_.push_back(static_cast<S>(v));
+    return src;
   }
-
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
-  [[nodiscard]] std::size_t stored() const noexcept { return values_.size(); }
-  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
-  [[nodiscard]] std::size_t n_chunks() const noexcept { return n_chunks_; }
-  [[nodiscard]] const std::vector<I>& chunk_ptr() const noexcept {
-    return chunk_ptr_;
-  }
-  [[nodiscard]] const std::vector<I>& slot_lengths() const noexcept {
-    return len_;
-  }
-  [[nodiscard]] const std::vector<I>& perm() const noexcept { return perm_; }
-  [[nodiscard]] const std::vector<S>& values() const noexcept {
-    return values_;
-  }
-  [[nodiscard]] const std::vector<I>& col_idx() const noexcept {
-    return col_idx_;
-  }
-  [[nodiscard]] std::size_t index_slots() const noexcept {
-    return col_idx_.size() + chunk_ptr_.size() + len_.size() + perm_.size();
-  }
-
-  /// y := A*x at the plane's precision (same contract as
-  /// CsrMatrixT::spmv).
-  void spmv(std::span<const S> x, std::span<S> y) const {
-    if (x.size() != cols_) {
-      throw std::invalid_argument("SellMatrixT::spmv: x size mismatch");
-    }
-    if (y.size() != rows_) {
-      throw std::invalid_argument("SellMatrixT::spmv: y size mismatch");
-    }
-    const S* px = x.data();
-    S* py = y.data();
-    const auto run = [&](auto c0) {
-      detail::sell_spmv_core<decltype(c0)::value, S, I>(
-          rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
-          perm_.data(), values_.data(), col_idx_.data(), px, py);
-    };
-    switch (chunk_) {
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-    case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-    case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-    default: run(std::integral_constant<std::size_t, 0>{}); break;
-    }
-  }
-
-  /// Raw SpMM core (same contract as CsrMatrixT::spmm).
-  void spmm(std::size_t ncols, const S* x, std::size_t ldx, S* y,
-            std::size_t ldy) const {
-    if (ncols == 0) return;
-    const auto run = [&](auto c0) {
-      detail::sell_spmm_core<decltype(c0)::value, S, I>(
-          rows_, n_chunks_, chunk_, chunk_ptr_.data(), len_.data(),
-          perm_.data(), values_.data(), col_idx_.data(), ncols, x, ldx, y,
-          ldy);
-    };
-    switch (chunk_) {
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-    case 16: run(std::integral_constant<std::size_t, 16>{}); break;
-    case 32: run(std::integral_constant<std::size_t, 32>{}); break;
-    default: run(std::integral_constant<std::size_t, 0>{}); break;
-    }
-  }
-
-  /// Y := A*X over block views (the lockstep staging path).
-  void spmm(const la::BasisViewT<S>& x, const la::BlockViewT<S>& y) const {
-    if (x.cols() == 0 && y.cols() == 0) return;
-    if (x.rows() != cols_) {
-      throw std::invalid_argument("SellMatrixT::spmm: X row count mismatch");
-    }
-    if (y.rows() != rows_ || y.cols() != x.cols()) {
-      throw std::invalid_argument("SellMatrixT::spmm: Y shape mismatch");
-    }
-    spmm(x.cols(), x.data(), x.ld(), y.data(), y.ld());
-  }
-
-private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t nnz_ = 0;
-  std::size_t chunk_ = SellMatrix::kDefaultChunk;
-  std::size_t n_chunks_ = 0;
-  std::vector<I> chunk_ptr_{0};
-  std::vector<I> len_;
-  std::vector<I> perm_;
-  std::vector<S> values_;
-  std::vector<I> col_idx_;
 };
 
 } // namespace sdcgmres::sparse

@@ -1,8 +1,10 @@
 /// \file krylov_mixed_precision_test.cpp
 /// \brief The mixed-precision inner data plane of FT-GMRES: (double,
-/// int32) bitwise identity with the default, the float-inner convergence
-/// envelope on the paper's Figure-3 scenario grid, spec-key validation,
-/// non-CSR rejection, and the bytes-streamed accounting of the mirror.
+/// int32) bitwise identity with the default and (float, int32) with
+/// (float, int64) on CSR and SELL, the float-inner convergence envelope
+/// on the paper's Figure-3 scenario grid, spec-key validation,
+/// non-matrix rejection, and the bytes-streamed accounting of the
+/// mirrors.
 ///
 /// Envelope contract (documented here, asserted below): a float32 inner
 /// plane is just another bounded perturbation of the unreliable inner
@@ -15,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,8 +30,10 @@
 #include "krylov/ft_gmres_batch.hpp"
 #include "krylov/mixed.hpp"
 #include "krylov/operator.hpp"
+#include "krylov/sell_operator.hpp"
 #include "la/blas1.hpp"
 #include "la/vector.hpp"
+#include "sparse/sell.hpp"
 
 namespace krylov = sdcgmres::krylov;
 namespace experiment = sdcgmres::experiment;
@@ -54,54 +59,171 @@ krylov::FtGmresOptions paper_options() {
   return opts;
 }
 
-} // namespace
+krylov::FtGmresOptions with_plane(krylov::FtGmresOptions opts,
+                                  krylov::Precision precision,
+                                  krylov::IndexWidth index_width) {
+  opts.precision = precision;
+  opts.index_width = index_width;
+  return opts;
+}
 
-TEST(MixedPrecisionFtGmres, DoubleInt32IsBitwiseIdenticalToDefault) {
-  // Index narrowing never touches the arithmetic: iterate, residual, and
-  // iteration counts must be bitwise equal to the default plane.
-  const auto A = gen::convection_diffusion2d(20, 1.0, 0.5); // n = 400
-  const la::Vector b = ones(A.rows());
-  const auto opts = paper_options();
-
-  const auto ref = krylov::ft_gmres(A, b, opts);
-  ASSERT_EQ(ref.status, krylov::SolveStatus::Converged);
-
-  auto opts32 = opts;
-  opts32.index_width = krylov::IndexWidth::I32;
-  const auto got = krylov::ft_gmres(A, b, opts32);
-  EXPECT_EQ(got.status, ref.status);
-  EXPECT_EQ(got.outer_iterations, ref.outer_iterations);
-  EXPECT_EQ(got.total_inner_iterations, ref.total_inner_iterations);
-  EXPECT_EQ(got.residual_norm, ref.residual_norm);
-  ASSERT_EQ(got.x.size(), ref.x.size());
+/// Every field of two FT-GMRES results, bitwise: iterate, residual
+/// history, and each inner-solve record.
+void expect_bitwise_equal(const krylov::FtGmresResult& got,
+                          const krylov::FtGmresResult& ref,
+                          const std::string& what) {
+  EXPECT_EQ(got.status, ref.status) << what;
+  EXPECT_EQ(got.outer_iterations, ref.outer_iterations) << what;
+  EXPECT_EQ(got.total_inner_iterations, ref.total_inner_iterations) << what;
+  EXPECT_EQ(got.total_inner_applies, ref.total_inner_applies) << what;
+  EXPECT_EQ(got.global_syncs, ref.global_syncs) << what;
+  EXPECT_EQ(got.residual_norm, ref.residual_norm) << what;
+  EXPECT_EQ(got.residual_history, ref.residual_history) << what;
+  ASSERT_EQ(got.x.size(), ref.x.size()) << what;
   for (std::size_t i = 0; i < ref.x.size(); ++i) {
-    EXPECT_EQ(got.x[i], ref.x[i]) << i;
+    EXPECT_EQ(got.x[i], ref.x[i]) << what << " x[" << i << "]";
+  }
+  ASSERT_EQ(got.inner_solves.size(), ref.inner_solves.size()) << what;
+  for (std::size_t k = 0; k < ref.inner_solves.size(); ++k) {
+    const krylov::InnerSolveRecord& g = got.inner_solves[k];
+    const krylov::InnerSolveRecord& r = ref.inner_solves[k];
+    const std::string at = what + " inner solve " + std::to_string(k);
+    EXPECT_EQ(g.outer_index, r.outer_index) << at;
+    EXPECT_EQ(g.status, r.status) << at;
+    EXPECT_EQ(g.iterations, r.iterations) << at;
+    EXPECT_EQ(g.operator_applies, r.operator_applies) << at;
+    EXPECT_EQ(g.residual_norm, r.residual_norm) << at;
+    EXPECT_EQ(g.reliable_retries, r.reliable_retries) << at;
+    EXPECT_EQ(g.triggered_outer_restart, r.triggered_outer_restart) << at;
+    EXPECT_EQ(g.global_syncs, r.global_syncs) << at;
   }
 }
 
-TEST(MixedPrecisionFtGmres, BatchedDoubleInt32IsBitwiseIdenticalToDefault) {
-  const auto A = gen::poisson2d(20); // n = 400
-  const krylov::CsrOperator op(A);
+/// Matrix passes and operand columns of a solve: the outer operator's
+/// plus the inner mirror's, when one was built.
+krylov::OperatorStats traffic(const krylov::LinearOperator& op,
+                              const std::shared_ptr<krylov::MixedPlaneBase>&
+                                  plane) {
+  krylov::OperatorStats s = op.stats();
+  if (plane != nullptr) s += plane->stats();
+  return s;
+}
+
+std::vector<la::Vector> batch_rhs(std::size_t n) {
   std::vector<la::Vector> bs;
   for (std::size_t i = 0; i < 3; ++i) {
-    la::Vector b(A.rows());
+    la::Vector b(n);
     for (std::size_t j = 0; j < b.size(); ++j) {
       b[j] = 1.0 + 0.01 * static_cast<double>((i + j) % 7);
     }
     bs.push_back(std::move(b));
   }
-  const auto opts = paper_options();
-  const auto ref = krylov::ft_gmres_batch(op, bs, opts);
+  return bs;
+}
 
-  auto opts32 = opts;
-  opts32.index_width = krylov::IndexWidth::I32;
-  const auto got = krylov::ft_gmres_batch(op, bs, opts32);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t r = 0; r < ref.size(); ++r) {
-    EXPECT_EQ(got[r].outer_iterations, ref[r].outer_iterations) << r;
-    EXPECT_EQ(got[r].residual_norm, ref[r].residual_norm) << r;
-    for (std::size_t i = 0; i < ref[r].x.size(); ++i) {
-      EXPECT_EQ(got[r].x[i], ref[r].x[i]) << r << "," << i;
+} // namespace
+
+TEST(MixedPrecisionFtGmres, DoubleInt32IsBitwiseIdenticalToDefault) {
+  // Index narrowing never touches the arithmetic: iterate, residual
+  // history, inner records, and the streams/columns the solve paid must
+  // equal the default plane's -- on CSR and on SELL, whose results are
+  // in turn bitwise equal to CSR's.
+  const auto A = gen::convection_diffusion2d(20, 1.0, 0.5); // n = 400
+  const sparse::SellMatrix S(A);
+  const krylov::CsrOperator csr(A);
+  const krylov::SellOperator sell(S);
+  const la::Vector b = ones(A.rows());
+  const auto opts = paper_options();
+  const auto opts32 = with_plane(opts, krylov::Precision::Double,
+                                 krylov::IndexWidth::I32);
+
+  const auto ref = krylov::ft_gmres(A, b, opts);
+  ASSERT_EQ(ref.status, krylov::SolveStatus::Converged);
+  for (const krylov::LinearOperator* op :
+       {static_cast<const krylov::LinearOperator*>(&csr),
+        static_cast<const krylov::LinearOperator*>(&sell)}) {
+    const std::string name = op == &csr ? "csr" : "sell";
+    krylov::FtGmresWorkspace ws64, ws32;
+    op->reset_stats();
+    expect_bitwise_equal(krylov::ft_gmres(*op, b, opts, nullptr, &ws64), ref,
+                         name + "/64");
+    EXPECT_EQ(ws64.plane, nullptr) << name << ": (double, int64) is the "
+                                   << "identity narrowing, no mirror";
+    const krylov::OperatorStats t64 = traffic(*op, ws64.plane);
+    op->reset_stats();
+    expect_bitwise_equal(krylov::ft_gmres(*op, b, opts32, nullptr, &ws32),
+                         ref, name + "/32");
+    ASSERT_NE(ws32.plane, nullptr) << name;
+    const krylov::OperatorStats t32 = traffic(*op, ws32.plane);
+    EXPECT_EQ(t32.columns(), t64.columns()) << name;
+    EXPECT_EQ(t32.streams(), t64.streams()) << name;
+  }
+}
+
+TEST(MixedPrecisionFtGmres, BatchedDoubleInt32IsBitwiseIdenticalToDefault) {
+  const auto A = gen::poisson2d(20); // n = 400
+  const sparse::SellMatrix S(A);
+  const krylov::CsrOperator csr(A);
+  const krylov::SellOperator sell(S);
+  const std::vector<la::Vector> bs = batch_rhs(A.rows());
+  const auto opts = paper_options();
+  const auto opts32 = with_plane(opts, krylov::Precision::Double,
+                                 krylov::IndexWidth::I32);
+
+  const auto ref = krylov::ft_gmres_batch(csr, bs, opts);
+  for (const krylov::LinearOperator* op :
+       {static_cast<const krylov::LinearOperator*>(&csr),
+        static_cast<const krylov::LinearOperator*>(&sell)}) {
+    const std::string name = op == &csr ? "csr" : "sell";
+    krylov::FtGmresBatchWorkspace ws64, ws32;
+    op->reset_stats();
+    const auto got64 = krylov::ft_gmres_batch(*op, bs, opts, {}, &ws64);
+    EXPECT_EQ(ws64.plane, nullptr) << name;
+    const krylov::OperatorStats t64 = traffic(*op, ws64.plane);
+    op->reset_stats();
+    const auto got32 = krylov::ft_gmres_batch(*op, bs, opts32, {}, &ws32);
+    ASSERT_NE(ws32.plane, nullptr) << name;
+    const krylov::OperatorStats t32 = traffic(*op, ws32.plane);
+    ASSERT_EQ(got64.size(), ref.size());
+    ASSERT_EQ(got32.size(), ref.size());
+    for (std::size_t r = 0; r < ref.size(); ++r) {
+      const std::string at = name + " rhs " + std::to_string(r);
+      expect_bitwise_equal(got64[r], ref[r], at + " /64");
+      expect_bitwise_equal(got32[r], ref[r], at + " /32");
+    }
+    EXPECT_EQ(t32.columns(), t64.columns()) << name;
+    EXPECT_EQ(t32.streams(), t64.streams()) << name;
+  }
+}
+
+TEST(MixedPrecisionFtGmres, FloatInt32IsBitwiseIdenticalToFloatInt64) {
+  // At float precision the index width is still arithmetic-free: the
+  // int32 and int64 float mirrors must agree bit for bit, solo and in
+  // lockstep, on CSR and SELL.
+  const auto A = gen::convection_diffusion2d(20, 1.0, 0.5); // n = 400
+  const sparse::SellMatrix S(A);
+  const krylov::CsrOperator csr(A);
+  const krylov::SellOperator sell(S);
+  const la::Vector b = ones(A.rows());
+  const std::vector<la::Vector> bs = batch_rhs(A.rows());
+  const auto f64 = with_plane(paper_options(), krylov::Precision::Float,
+                              krylov::IndexWidth::I64);
+  const auto f32 = with_plane(paper_options(), krylov::Precision::Float,
+                              krylov::IndexWidth::I32);
+  for (const krylov::LinearOperator* op :
+       {static_cast<const krylov::LinearOperator*>(&csr),
+        static_cast<const krylov::LinearOperator*>(&sell)}) {
+    const std::string name = op == &csr ? "csr" : "sell";
+    const auto ref = krylov::ft_gmres(*op, b, f64);
+    EXPECT_EQ(ref.status, krylov::SolveStatus::Converged) << name;
+    expect_bitwise_equal(krylov::ft_gmres(*op, b, f32), ref, name);
+
+    const auto batch64 = krylov::ft_gmres_batch(*op, bs, f64);
+    const auto batch32 = krylov::ft_gmres_batch(*op, bs, f32);
+    ASSERT_EQ(batch32.size(), batch64.size());
+    for (std::size_t r = 0; r < batch64.size(); ++r) {
+      expect_bitwise_equal(batch32[r], batch64[r],
+                           name + " batched rhs " + std::to_string(r));
     }
   }
 }
@@ -189,6 +311,28 @@ TEST(MixedPrecisionFtGmres, MirrorCountsNarrowedBytes) {
   const auto sd = dop.stats();
   EXPECT_EQ(sd.scalar_bytes, 2 * s.scalar_bytes);
   EXPECT_EQ(sd.index_bytes, 2 * s.index_bytes);
+
+  // SELL counts its padded value slots and every index array its kernels
+  // walk (padded col_idx, chunk_ptr, slot lengths, permutation) at the
+  // stored widths; the float/int32 mirror again costs exactly half.
+  const sparse::SellMatrix S(A, 4, 1);
+  const std::size_t slots = S.col_idx().size() + S.chunk_ptr().size() +
+                            S.slot_lengths().size() + S.perm().size();
+  const sparse::SellMatrixT<float, std::int32_t> MS(S);
+  const krylov::MixedSellOperator<float, std::int32_t> sop(MS);
+  sop.apply(std::span<const float>(x), std::span<float>(y));
+  const auto ss = sop.stats();
+  EXPECT_EQ(ss.scalar_bytes,
+            sizeof(float) * (S.values().size() + A.rows() + A.cols()));
+  EXPECT_EQ(ss.index_bytes, sizeof(std::int32_t) * slots);
+  const krylov::SellOperator dsop(S);
+  dsop.apply(std::span<const double>(xd.span()), yd.span());
+  const auto sds = dsop.stats();
+  EXPECT_EQ(sds.scalar_bytes,
+            sizeof(double) * (S.values().size() + A.rows() + A.cols()));
+  EXPECT_EQ(sds.index_bytes, sizeof(std::size_t) * slots);
+  EXPECT_EQ(sds.scalar_bytes, 2 * ss.scalar_bytes);
+  EXPECT_EQ(sds.index_bytes, 2 * ss.index_bytes);
 }
 
 TEST(MixedPrecisionScenario, SpecKeysValidate) {

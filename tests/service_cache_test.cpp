@@ -150,9 +150,6 @@ TEST(ArtifactCacheArtifacts, CalibrationTransposeMirrorAndPrecond) {
   // Poisson is symmetric: A^T == A entrywise.
   EXPECT_EQ(at->values(), problem->A.values());
 
-  const auto mirror = service::cached_mirror32(cache, spec, *problem);
-  EXPECT_EQ(mirror->nnz(), problem->A.nnz());
-
   const auto precond = service::cached_preconditioner(cache, spec, *problem);
   ASSERT_NE(precond, nullptr);
   EXPECT_EQ(precond.get(),
@@ -235,22 +232,4 @@ TEST(ArtifactCacheArtifacts, BackendKeyedByGeometryAndMatrix) {
   const auto bc = service::cached_backend(cache, spec_c, *pc);
   EXPECT_NE(ba.get(), bb.get()) << "different geometry, different entry";
   EXPECT_NE(ba.get(), bc.get()) << "different matrix, different entry";
-}
-
-TEST(ArtifactCacheArtifacts, SellMirror32SharedAndCsrSpecThrows) {
-  service::ArtifactCache cache(64u << 20);
-  const auto spec = sdcgmres::experiment::ScenarioSpec::parse(
-      "matrix=poisson n=10 backend=sell");
-  const auto problem = service::cached_problem(cache, spec);
-  const auto m1 = service::cached_sell_mirror32(cache, spec, *problem);
-  const auto m2 = service::cached_sell_mirror32(cache, spec, *problem);
-  ASSERT_NE(m1, nullptr);
-  EXPECT_EQ(m1.get(), m2.get());
-  EXPECT_EQ(m1->rows(), problem->A.rows());
-
-  const auto csr_spec =
-      sdcgmres::experiment::ScenarioSpec::parse("matrix=poisson n=10");
-  EXPECT_THROW(
-      (void)service::cached_sell_mirror32(cache, csr_spec, *problem),
-      std::invalid_argument);
 }

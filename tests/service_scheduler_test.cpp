@@ -90,6 +90,24 @@ TEST(SweepScheduler, SingleSolveJobsRunToo) {
   scheduler.stop();
 }
 
+TEST(SweepScheduler, SubmitWakesAnIdleWorkerWithoutWaitingForThePoll) {
+  // A 2 s idle poll: a submission must wake the sleeping worker at once,
+  // not when its poll happens to expire.
+  service::SchedulerOptions options = quick_options(fresh_root("wakeup"));
+  options.poll_ms = 2000;
+  service::SweepScheduler scheduler(options);
+  scheduler.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200)); // idle
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string id = scheduler.submit("solver=gmres matrix=poisson n=6\n");
+  ASSERT_TRUE(wait_for([&] {
+    return scheduler.status(id).state == service::JobStatus::State::Done;
+  }));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  scheduler.stop();
+}
+
 TEST(SweepScheduler, RepeatedMatrixBurstHitsTheArtifactCache) {
   service::SweepScheduler scheduler(quick_options(fresh_root("cachehit")));
   scheduler.start();
