@@ -93,9 +93,11 @@ std::size_t SweepResult::total_global_syncs() const {
 namespace {
 
 /// Run \p fn inside a 1-thread OpenMP region with kernel threading pinned
-/// to 1 (the sweep determinism contract), converting any escaping
-/// exception back into a normal throw -- an exception crossing an OpenMP
-/// region boundary would call std::terminate.
+/// to 1, converting any escaping exception back into a normal throw -- an
+/// exception crossing an OpenMP region boundary would call std::terminate.
+/// The pin is a tuning choice, not a correctness one: the kernels'
+/// reductions are bitwise independent of the thread count, and the sweep
+/// already runs one solve per thread across sites.
 template <typename Fn>
 void run_pinned(Fn&& fn) {
   std::exception_ptr error;
@@ -290,13 +292,13 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
 
   SweepResult result;
 
-  // Determinism contract: the sweep owns ALL parallelism.  Every solve
+  // Determinism contract: every kernel reduction is bitwise independent
+  // of the OpenMP thread count, and points merge by site, so a sweep at
+  // threads == N is bitwise identical to threads == 1: same points, same
+  // order, same doubles.  The sweep owns the parallelism: every solve
   // (baseline included) runs inside a sweep-created OpenMP region with its
-  // per-thread kernel threading pinned to 1, so the low-level dot/spmv
-  // reductions accumulate in one fixed (sequential) order no matter how
-  // many sweep workers run.  A sweep at threads == N is therefore bitwise
-  // identical to threads == 1: same points, same order, same doubles.
-  // (nthreads-var is a per-region ICV: the pin dies with the region.)
+  // per-thread kernel threading pinned to 1 (a tuning choice; nthreads-var
+  // is a per-region ICV, so the pin dies with the region).
 
   // --- Execution backend: one assembly serves the baseline and every
   // worker (each worker still gets its OWN thin operator so traffic

@@ -59,10 +59,10 @@ struct SweepConfig {
                                     ///< SITES only -- kernel-level OpenMP
                                     ///< inside each solve is pinned to one
                                     ///< thread at every `threads` setting
-                                    ///< (that pin is what makes the
-                                    ///< results mode-independent), so on
-                                    ///< multi-core machines use threads
-                                    ///< != 1 to recover parallelism.
+                                    ///< (a tuning choice: results do not
+                                    ///< depend on it), so on multi-core
+                                    ///< machines use threads != 1 to
+                                    ///< recover parallelism.
   std::size_t batch = 1;            ///< injection sites solved in lockstep
                                     ///< per worker (multi-RHS FT-GMRES,
                                     ///< krylov::ft_gmres_batch): each

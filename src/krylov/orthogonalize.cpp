@@ -50,19 +50,34 @@ void cgs_pass(std::span<const la::Vector> q, std::size_t k, la::Vector& v,
 }
 
 // --- Fused kernels over the contiguous basis -------------------------------
+//
+// One template over the plane's scalar S (double, or float for the
+// mixed-precision inner plane), with all arithmetic in S.  The hook
+// protocol is double-typed: each first-pass coefficient is widened for the
+// hook and the (possibly mutated) value narrowed back before it is applied,
+// which is the identity when S is double.
+
+template <typename S>
+void hook_coefficient(ArnoldiHook& hook, const ArnoldiContext& ctx,
+                      std::size_t i, std::size_t k, S& coeff) {
+  double wide = static_cast<double>(coeff);
+  hook.on_projection_coefficient(ctx, i, k, wide);
+  coeff = static_cast<S>(wide);
+}
 
 /// MGS over the arena: each column streams through the fused dot_axpy
 /// kernel (one parallel region per column instead of two); the hook's
 /// mutation point sits between the dot and the correction, exactly as in
 /// the reference path.
-void mgs_pass_fused(const la::KrylovBasis& q, std::size_t k,
-                    std::span<double> v, std::span<double> h,
-                    ArnoldiHook* hook, const ArnoldiContext& ctx) {
+template <typename S>
+void mgs_pass_fused(const la::KrylovBasisT<S>& q, std::size_t k,
+                    std::span<S> v, std::span<S> h, ArnoldiHook* hook,
+                    const ArnoldiContext& ctx) {
   for (std::size_t i = 0; i < k; ++i) {
-    double hij;
+    S hij;
     if (hook != nullptr) {
-      hij = la::dot_axpy(q.col(i), v, [&](double& c) {
-        hook->on_projection_coefficient(ctx, i, k, c);
+      hij = la::dot_axpy(q.col(i), v, [&](S& c) {
+        hook_coefficient(*hook, ctx, i, k, c);
       });
     } else {
       hij = la::dot_axpy(q.col(i), v);
@@ -73,76 +88,56 @@ void mgs_pass_fused(const la::KrylovBasis& q, std::size_t k,
 
 /// One classical Gram-Schmidt pass over the arena: coefficients via a
 /// single gemv_t over the basis block, correction via a single gemv.
-void cgs_pass_fused(const la::KrylovBasis& q, std::size_t k,
-                    std::span<double> v, std::span<double> h,
-                    ArnoldiHook* hook, const ArnoldiContext& ctx,
-                    bool fire_hook) {
-  std::vector<double> coeffs(k, 0.0);
-  const la::BasisView block = q.view(k);
-  la::gemv_t(1.0, block, v, 0.0, coeffs);
-  if (fire_hook && hook != nullptr) {
+template <typename S>
+void cgs_pass_fused(const la::KrylovBasisT<S>& q, std::size_t k,
+                    std::span<S> v, std::span<S> h, ArnoldiHook* hook,
+                    const ArnoldiContext& ctx) {
+  std::vector<S> coeffs(k, S(0));
+  const la::BasisViewT<S> block = q.view(k);
+  la::gemv_t(S(1), block, v, S(0), coeffs);
+  if (hook != nullptr) {
     // All first-pass coefficients are dot products against the SAME
     // (untouched) v, so firing after the blocked projection preserves the
-    // reference path's (i, mgs_steps) sequence, with values bitwise equal
-    // whenever the reference dot runs serially.
+    // reference path's (i, mgs_steps) sequence.
     for (std::size_t i = 0; i < k; ++i) {
-      hook->on_projection_coefficient(ctx, i, k, coeffs[i]);
+      hook_coefficient(*hook, ctx, i, k, coeffs[i]);
     }
   }
   for (std::size_t i = 0; i < k; ++i) h[i] += coeffs[i];
-  la::gemv(-1.0, block, coeffs, 1.0, v);
+  la::gemv(S(-1), block, coeffs, S(1), v);
 }
 
 void validate_args(std::size_t basis_cols, std::size_t k,
-                   std::span<double> h) {
+                   std::size_t h_size) {
   if (basis_cols < k) {
     throw std::invalid_argument("orthogonalize: fewer basis vectors than k");
   }
-  if (h.size() < k) {
+  if (h_size < k) {
     throw std::invalid_argument("orthogonalize: coefficient span too small");
   }
 }
 
-// --- Float fused kernels (mixed-precision inner plane) ---------------------
-//
-// Mirrors of the fused double kernels with all arithmetic in float.  The
-// hook protocol stays double-typed: coefficients are widened for the hook
-// and the mutated value narrowed back before application.
-
-void mgs_pass_fused_f(const la::KrylovBasisT<float>& q, std::size_t k,
-                      std::span<float> v, std::span<float> h,
-                      ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  for (std::size_t i = 0; i < k; ++i) {
-    float hij;
-    if (hook != nullptr) {
-      hij = la::dot_axpy(q.col(i), v, [&](float& c) {
-        double wide = static_cast<double>(c);
-        hook->on_projection_coefficient(ctx, i, k, wide);
-        c = static_cast<float>(wide);
-      });
-    } else {
-      hij = la::dot_axpy(q.col(i), v);
-    }
-    h[i] += hij;
+template <typename S>
+void orthogonalize_fused(Orthogonalization kind, const la::KrylovBasisT<S>& q,
+                         std::size_t k, std::span<S> v, std::span<S> h,
+                         ArnoldiHook* hook, const ArnoldiContext& ctx) {
+  validate_args(q.cols(), k, h.size());
+  if (v.size() != q.rows()) {
+    throw std::invalid_argument("orthogonalize: v size must equal basis rows");
   }
-}
-
-void cgs_pass_fused_f(const la::KrylovBasisT<float>& q, std::size_t k,
-                      std::span<float> v, std::span<float> h,
-                      ArnoldiHook* hook, const ArnoldiContext& ctx,
-                      bool fire_hook) {
-  std::vector<float> coeffs(k, 0.0f);
-  const la::BasisViewT<float> block = q.view(k);
-  la::gemv_t(1.0f, block, v, 0.0f, coeffs);
-  if (fire_hook && hook != nullptr) {
-    for (std::size_t i = 0; i < k; ++i) {
-      double wide = static_cast<double>(coeffs[i]);
-      hook->on_projection_coefficient(ctx, i, k, wide);
-      coeffs[i] = static_cast<float>(wide);
-    }
+  for (std::size_t i = 0; i < k; ++i) h[i] = S(0);
+  switch (kind) {
+    case Orthogonalization::MGS:
+      mgs_pass_fused(q, k, v, h, hook, ctx);
+      break;
+    case Orthogonalization::CGS:
+      cgs_pass_fused(q, k, v, h, hook, ctx);
+      break;
+    case Orthogonalization::CGS2:
+      cgs_pass_fused(q, k, v, h, hook, ctx);
+      cgs_pass_fused(q, k, v, h, /*hook=*/nullptr, ctx);
+      break;
   }
-  for (std::size_t i = 0; i < k; ++i) h[i] += coeffs[i];
-  la::gemv(-1.0f, block, coeffs, 1.0f, v);
 }
 
 } // namespace
@@ -150,7 +145,7 @@ void cgs_pass_fused_f(const la::KrylovBasisT<float>& q, std::size_t k,
 void orthogonalize(Orthogonalization kind, std::span<const la::Vector> q,
                    std::size_t k, la::Vector& v, std::span<double> h,
                    ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  validate_args(q.size(), k, h);
+  validate_args(q.size(), k, h.size());
   for (std::size_t i = 0; i < k; ++i) h[i] = 0.0;
   switch (kind) {
     case Orthogonalization::MGS:
@@ -169,50 +164,13 @@ void orthogonalize(Orthogonalization kind, std::span<const la::Vector> q,
 void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
                    std::size_t k, std::span<double> v, std::span<double> h,
                    ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  validate_args(q.cols(), k, h);
-  if (v.size() != q.rows()) {
-    throw std::invalid_argument("orthogonalize: v size must equal basis rows");
-  }
-  for (std::size_t i = 0; i < k; ++i) h[i] = 0.0;
-  switch (kind) {
-    case Orthogonalization::MGS:
-      mgs_pass_fused(q, k, v, h, hook, ctx);
-      break;
-    case Orthogonalization::CGS:
-      cgs_pass_fused(q, k, v, h, hook, ctx, /*fire_hook=*/true);
-      break;
-    case Orthogonalization::CGS2:
-      cgs_pass_fused(q, k, v, h, hook, ctx, /*fire_hook=*/true);
-      cgs_pass_fused(q, k, v, h, /*hook=*/nullptr, ctx, /*fire_hook=*/false);
-      break;
-  }
+  orthogonalize_fused(kind, q, k, v, h, hook, ctx);
 }
 
 void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
                    std::size_t k, std::span<float> v, std::span<float> h,
                    ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  if (q.cols() < k) {
-    throw std::invalid_argument("orthogonalize: fewer basis vectors than k");
-  }
-  if (h.size() < k) {
-    throw std::invalid_argument("orthogonalize: coefficient span too small");
-  }
-  if (v.size() != q.rows()) {
-    throw std::invalid_argument("orthogonalize: v size must equal basis rows");
-  }
-  for (std::size_t i = 0; i < k; ++i) h[i] = 0.0f;
-  switch (kind) {
-    case Orthogonalization::MGS:
-      mgs_pass_fused_f(q, k, v, h, hook, ctx);
-      break;
-    case Orthogonalization::CGS:
-      cgs_pass_fused_f(q, k, v, h, hook, ctx, /*fire_hook=*/true);
-      break;
-    case Orthogonalization::CGS2:
-      cgs_pass_fused_f(q, k, v, h, hook, ctx, /*fire_hook=*/true);
-      cgs_pass_fused_f(q, k, v, h, /*hook=*/nullptr, ctx, /*fire_hook=*/false);
-      break;
-  }
+  orthogonalize_fused(kind, q, k, v, h, hook, ctx);
 }
 
 } // namespace sdcgmres::krylov

@@ -57,10 +57,12 @@ void orthogonalize(Orthogonalization kind,
 ///   - the hook fires once per first-pass coefficient with the same
 ///     (i, mgs_steps) sequence, each coefficient computed from the same
 ///     operands, and hook mutations are applied identically;
-///   - in serial execution (or below la::dot's OpenMP threshold) the hook
-///     values are bitwise identical to the reference path; with multiple
-///     OpenMP threads the reference path's parallel reductions combine in
-///     thread-arrival order, so values agree to reduction roundoff;
+///   - MGS hook values are bitwise identical to the reference path at
+///     every size and thread count (la::dot_axpy and la::dot share one
+///     fixed-partition sum); CGS/CGS2 values (one gemv_t, each column
+///     summed sequentially) are bitwise identical while la::dot runs its
+///     plain sequential loop (up to 4096 rows) and agree to roundoff above;
+///   - every result is bitwise independent of the OpenMP thread count;
 ///   - CGS2's second-pass corrections remain silent.
 /// The kernels differ: CGS/CGS2 projections run as one gemv_t + one gemv
 /// over the basis block, and MGS streams each column through the fused
@@ -72,23 +74,22 @@ void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
                    std::size_t k, std::span<double> v, std::span<double> h,
                    ArnoldiHook* hook, const ArnoldiContext& ctx);
 
+/// Float instantiation of the same template, for the mixed-precision inner
+/// engine: all kernels run in float, and since the ArnoldiHook protocol is
+/// double-typed each first-pass coefficient is widened for the hook and
+/// the (possibly mutated) value narrowed back before it is applied --
+/// injected faults land in the float data plane exactly where they land in
+/// the double one.
+void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
+                   std::size_t k, std::span<float> v, std::span<float> h,
+                   ArnoldiHook* hook, const ArnoldiContext& ctx);
+
 /// Convenience wrapper for owning-vector callers.
 inline void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
                           std::size_t k, la::Vector& v, std::span<double> h,
                           ArnoldiHook* hook, const ArnoldiContext& ctx) {
   orthogonalize(kind, q, k, v.span(), h, hook, ctx);
 }
-
-/// Float instantiation of the fused contiguous-basis orthogonalization,
-/// for the mixed-precision inner engine.  All kernels (dot_axpy, gemv_t,
-/// gemv) run in float; the ArnoldiHook protocol is double-typed, so each
-/// first-pass coefficient is widened for the hook and the (possibly
-/// mutated) value narrowed back before it is applied -- injected faults
-/// land in the float data plane exactly where they land in the double
-/// one.
-void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
-                   std::size_t k, std::span<float> v, std::span<float> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx);
 
 /// Convenience wrapper for owning-vector callers.
 inline void orthogonalize(Orthogonalization kind,

@@ -14,234 +14,156 @@ namespace {
 /// of cols).
 constexpr std::size_t kGemvRowChunk = 4096;
 
-void gemv_chunk(double alpha, std::size_t rows, std::size_t cols,
-                const double* b, std::size_t lda, const double* x,
-                double beta, double* y, std::size_t r0, std::size_t r1) {
-  (void)rows;
-  if (beta == 0.0) {
-    for (std::size_t i = r0; i < r1; ++i) y[i] = 0.0;
-  } else if (beta != 1.0) {
+template <typename S>
+void gemv_chunk(S alpha, std::size_t cols, const S* b, std::size_t lda,
+                const S* x, S beta, S* y, std::size_t r0, std::size_t r1) {
+  if (beta == S(0)) {
+    for (std::size_t i = r0; i < r1; ++i) y[i] = S(0);
+  } else if (beta != S(1)) {
     for (std::size_t i = r0; i < r1; ++i) y[i] *= beta;
   }
   std::size_t j = 0;
   for (; j + 4 <= cols; j += 4) {
-    const double* c0 = b + j * lda;
-    const double* c1 = c0 + lda;
-    const double* c2 = c1 + lda;
-    const double* c3 = c2 + lda;
-    const double a0 = alpha * x[j];
-    const double a1 = alpha * x[j + 1];
-    const double a2 = alpha * x[j + 2];
-    const double a3 = alpha * x[j + 3];
+    const S* c0 = b + j * lda;
+    const S* c1 = c0 + lda;
+    const S* c2 = c1 + lda;
+    const S* c3 = c2 + lda;
+    const S a0 = alpha * x[j];
+    const S a1 = alpha * x[j + 1];
+    const S a2 = alpha * x[j + 2];
+    const S a3 = alpha * x[j + 3];
     for (std::size_t i = r0; i < r1; ++i) {
       y[i] += a0 * c0[i] + a1 * c1[i] + a2 * c2[i] + a3 * c3[i];
     }
   }
   for (; j < cols; ++j) {
-    const double* cj = b + j * lda;
-    const double aj = alpha * x[j];
+    const S* cj = b + j * lda;
+    const S aj = alpha * x[j];
     for (std::size_t i = r0; i < r1; ++i) {
       y[i] += aj * cj[i];
     }
   }
+}
+
+template <typename S>
+void gemv_impl(S alpha, std::size_t rows, std::size_t cols, const S* b,
+               std::size_t lda, const S* x, S beta, S* y) {
+  const auto nchunks = static_cast<std::int64_t>(
+      (rows + kGemvRowChunk - 1) / kGemvRowChunk);
+#pragma omp parallel for schedule(static) if (nchunks > 1 && rows * cols > 65536)
+  for (std::int64_t c = 0; c < nchunks; ++c) {
+    const std::size_t r0 = static_cast<std::size_t>(c) * kGemvRowChunk;
+    const std::size_t r1 = std::min(rows, r0 + kGemvRowChunk);
+    gemv_chunk(alpha, cols, b, lda, x, beta, y, r0, r1);
+  }
+}
+
+template <typename S>
+void gemv_t_impl(S alpha, std::size_t rows, std::size_t cols, const S* b,
+                 std::size_t lda, const S* x, S beta, S* y) {
+  const auto nblocks = static_cast<std::int64_t>((cols + 3) / 4);
+#pragma omp parallel for schedule(static) if (nblocks > 1 && rows * cols > 65536)
+  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
+    const std::size_t j = static_cast<std::size_t>(blk) * 4;
+    if (j + 4 <= cols) {
+      const S* c0 = b + j * lda;
+      const S* c1 = c0 + lda;
+      const S* c2 = c1 + lda;
+      const S* c3 = c2 + lda;
+      // Four independent accumulator chains; each chain keeps the plain
+      // sequential summation order of a naive dot product.
+      S s0 = S(0), s1 = S(0), s2 = S(0), s3 = S(0);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const S xi = x[i];
+        s0 += c0[i] * xi;
+        s1 += c1[i] * xi;
+        s2 += c2[i] * xi;
+        s3 += c3[i] * xi;
+      }
+      if (beta == S(0)) {
+        y[j] = alpha * s0;
+        y[j + 1] = alpha * s1;
+        y[j + 2] = alpha * s2;
+        y[j + 3] = alpha * s3;
+      } else {
+        y[j] = alpha * s0 + beta * y[j];
+        y[j + 1] = alpha * s1 + beta * y[j + 1];
+        y[j + 2] = alpha * s2 + beta * y[j + 2];
+        y[j + 3] = alpha * s3 + beta * y[j + 3];
+      }
+    } else {
+      for (std::size_t jj = j; jj < cols; ++jj) {
+        const S* cj = b + jj * lda;
+        S s = S(0);
+        for (std::size_t i = 0; i < rows; ++i) s += cj[i] * x[i];
+        y[jj] = (beta == S(0)) ? alpha * s : alpha * s + beta * y[jj];
+      }
+    }
+  }
+}
+
+template <typename S>
+void gemv_view(S alpha, const BasisViewT<S>& q, std::span<const S> x, S beta,
+               std::span<S> y) {
+  if (x.size() != q.cols()) {
+    throw std::invalid_argument("la::gemv: x size must equal basis cols");
+  }
+  if (y.size() != q.rows()) {
+    throw std::invalid_argument("la::gemv: y size must equal basis rows");
+  }
+  gemv_impl(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
+            y.data());
+}
+
+template <typename S>
+void gemv_t_view(S alpha, const BasisViewT<S>& q, std::span<const S> x,
+                 S beta, std::span<S> y) {
+  if (x.size() != q.rows()) {
+    throw std::invalid_argument("la::gemv_t: x size must equal basis rows");
+  }
+  if (y.size() != q.cols()) {
+    throw std::invalid_argument("la::gemv_t: y size must equal basis cols");
+  }
+  gemv_t_impl(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
+              y.data());
 }
 
 } // namespace
 
 void gemv(double alpha, std::size_t rows, std::size_t cols, const double* b,
           std::size_t lda, const double* x, double beta, double* y) {
-  const auto nchunks = static_cast<std::int64_t>(
-      (rows + kGemvRowChunk - 1) / kGemvRowChunk);
-#pragma omp parallel for schedule(static) if (nchunks > 1 && rows * cols > 65536)
-  for (std::int64_t c = 0; c < nchunks; ++c) {
-    const std::size_t r0 = static_cast<std::size_t>(c) * kGemvRowChunk;
-    const std::size_t r1 = std::min(rows, r0 + kGemvRowChunk);
-    gemv_chunk(alpha, rows, cols, b, lda, x, beta, y, r0, r1);
-  }
+  gemv_impl(alpha, rows, cols, b, lda, x, beta, y);
+}
+void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,
+          std::size_t lda, const float* x, float beta, float* y) {
+  gemv_impl(alpha, rows, cols, b, lda, x, beta, y);
 }
 
 void gemv_t(double alpha, std::size_t rows, std::size_t cols, const double* b,
             std::size_t lda, const double* x, double beta, double* y) {
-  const auto nblocks = static_cast<std::int64_t>((cols + 3) / 4);
-#pragma omp parallel for schedule(static) if (nblocks > 1 && rows * cols > 65536)
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t j = static_cast<std::size_t>(blk) * 4;
-    if (j + 4 <= cols) {
-      const double* c0 = b + j * lda;
-      const double* c1 = c0 + lda;
-      const double* c2 = c1 + lda;
-      const double* c3 = c2 + lda;
-      // Four independent accumulator chains; each chain keeps the plain
-      // sequential summation order of a naive dot product.
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double xi = x[i];
-        s0 += c0[i] * xi;
-        s1 += c1[i] * xi;
-        s2 += c2[i] * xi;
-        s3 += c3[i] * xi;
-      }
-      if (beta == 0.0) {
-        y[j] = alpha * s0;
-        y[j + 1] = alpha * s1;
-        y[j + 2] = alpha * s2;
-        y[j + 3] = alpha * s3;
-      } else {
-        y[j] = alpha * s0 + beta * y[j];
-        y[j + 1] = alpha * s1 + beta * y[j + 1];
-        y[j + 2] = alpha * s2 + beta * y[j + 2];
-        y[j + 3] = alpha * s3 + beta * y[j + 3];
-      }
-    } else {
-      for (std::size_t jj = j; jj < cols; ++jj) {
-        const double* cj = b + jj * lda;
-        double s = 0.0;
-        for (std::size_t i = 0; i < rows; ++i) s += cj[i] * x[i];
-        y[jj] = (beta == 0.0) ? alpha * s : alpha * s + beta * y[jj];
-      }
-    }
-  }
+  gemv_t_impl(alpha, rows, cols, b, lda, x, beta, y);
+}
+void gemv_t(float alpha, std::size_t rows, std::size_t cols, const float* b,
+            std::size_t lda, const float* x, float beta, float* y) {
+  gemv_t_impl(alpha, rows, cols, b, lda, x, beta, y);
 }
 
 void gemv(double alpha, const BasisView& q, std::span<const double> x,
           double beta, std::span<double> y) {
-  if (x.size() != q.cols()) {
-    throw std::invalid_argument("la::gemv: x size must equal basis cols");
-  }
-  if (y.size() != q.rows()) {
-    throw std::invalid_argument("la::gemv: y size must equal basis rows");
-  }
-  gemv(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
-       y.data());
+  gemv_view(alpha, q, x, beta, y);
+}
+void gemv(float alpha, const BasisViewT<float>& q, std::span<const float> x,
+          float beta, std::span<float> y) {
+  gemv_view(alpha, q, x, beta, y);
 }
 
 void gemv_t(double alpha, const BasisView& q, std::span<const double> x,
             double beta, std::span<double> y) {
-  if (x.size() != q.rows()) {
-    throw std::invalid_argument("la::gemv_t: x size must equal basis rows");
-  }
-  if (y.size() != q.cols()) {
-    throw std::invalid_argument("la::gemv_t: y size must equal basis cols");
-  }
-  gemv_t(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
-         y.data());
+  gemv_t_view(alpha, q, x, beta, y);
 }
-
-// --- Float kernels ----------------------------------------------------------
-//
-// Float mirrors of the raw kernels above: identical blocking and
-// accumulation order, all arithmetic in float.
-
-namespace {
-
-void gemv_chunk_f(float alpha, std::size_t cols, const float* b,
-                  std::size_t lda, const float* x, float beta, float* y,
-                  std::size_t r0, std::size_t r1) {
-  if (beta == 0.0f) {
-    for (std::size_t i = r0; i < r1; ++i) y[i] = 0.0f;
-  } else if (beta != 1.0f) {
-    for (std::size_t i = r0; i < r1; ++i) y[i] *= beta;
-  }
-  std::size_t j = 0;
-  for (; j + 4 <= cols; j += 4) {
-    const float* c0 = b + j * lda;
-    const float* c1 = c0 + lda;
-    const float* c2 = c1 + lda;
-    const float* c3 = c2 + lda;
-    const float a0 = alpha * x[j];
-    const float a1 = alpha * x[j + 1];
-    const float a2 = alpha * x[j + 2];
-    const float a3 = alpha * x[j + 3];
-    for (std::size_t i = r0; i < r1; ++i) {
-      y[i] += a0 * c0[i] + a1 * c1[i] + a2 * c2[i] + a3 * c3[i];
-    }
-  }
-  for (; j < cols; ++j) {
-    const float* cj = b + j * lda;
-    const float aj = alpha * x[j];
-    for (std::size_t i = r0; i < r1; ++i) {
-      y[i] += aj * cj[i];
-    }
-  }
-}
-
-} // namespace
-
-void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,
-          std::size_t lda, const float* x, float beta, float* y) {
-  const auto nchunks = static_cast<std::int64_t>(
-      (rows + kGemvRowChunk - 1) / kGemvRowChunk);
-#pragma omp parallel for schedule(static) if (nchunks > 1 && rows * cols > 65536)
-  for (std::int64_t c = 0; c < nchunks; ++c) {
-    const std::size_t r0 = static_cast<std::size_t>(c) * kGemvRowChunk;
-    const std::size_t r1 = std::min(rows, r0 + kGemvRowChunk);
-    gemv_chunk_f(alpha, cols, b, lda, x, beta, y, r0, r1);
-  }
-}
-
-void gemv_t(float alpha, std::size_t rows, std::size_t cols, const float* b,
-            std::size_t lda, const float* x, float beta, float* y) {
-  const auto nblocks = static_cast<std::int64_t>((cols + 3) / 4);
-#pragma omp parallel for schedule(static) if (nblocks > 1 && rows * cols > 65536)
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t j = static_cast<std::size_t>(blk) * 4;
-    if (j + 4 <= cols) {
-      const float* c0 = b + j * lda;
-      const float* c1 = c0 + lda;
-      const float* c2 = c1 + lda;
-      const float* c3 = c2 + lda;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const float xi = x[i];
-        s0 += c0[i] * xi;
-        s1 += c1[i] * xi;
-        s2 += c2[i] * xi;
-        s3 += c3[i] * xi;
-      }
-      if (beta == 0.0f) {
-        y[j] = alpha * s0;
-        y[j + 1] = alpha * s1;
-        y[j + 2] = alpha * s2;
-        y[j + 3] = alpha * s3;
-      } else {
-        y[j] = alpha * s0 + beta * y[j];
-        y[j + 1] = alpha * s1 + beta * y[j + 1];
-        y[j + 2] = alpha * s2 + beta * y[j + 2];
-        y[j + 3] = alpha * s3 + beta * y[j + 3];
-      }
-    } else {
-      for (std::size_t jj = j; jj < cols; ++jj) {
-        const float* cj = b + jj * lda;
-        float s = 0.0f;
-        for (std::size_t i = 0; i < rows; ++i) s += cj[i] * x[i];
-        y[jj] = (beta == 0.0f) ? alpha * s : alpha * s + beta * y[jj];
-      }
-    }
-  }
-}
-
-void gemv(float alpha, const BasisViewT<float>& q, std::span<const float> x,
-          float beta, std::span<float> y) {
-  if (x.size() != q.cols()) {
-    throw std::invalid_argument("la::gemv: x size must equal basis cols");
-  }
-  if (y.size() != q.rows()) {
-    throw std::invalid_argument("la::gemv: y size must equal basis rows");
-  }
-  gemv(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
-       y.data());
-}
-
 void gemv_t(float alpha, const BasisViewT<float>& q, std::span<const float> x,
             float beta, std::span<float> y) {
-  if (x.size() != q.rows()) {
-    throw std::invalid_argument("la::gemv_t: x size must equal basis rows");
-  }
-  if (y.size() != q.cols()) {
-    throw std::invalid_argument("la::gemv_t: y size must equal basis cols");
-  }
-  gemv_t(alpha, q.rows(), q.cols(), q.data(), q.ld(), x.data(), beta,
-         y.data());
+  gemv_t_view(alpha, q, x, beta, y);
 }
 
 void gemv(double alpha, const DenseMatrix& A, const Vector& x, double beta,

@@ -8,13 +8,16 @@
 /// parallelism of a single latency-bound dot product, and x is streamed
 /// once per block instead of once per column), and gemv updates each y
 /// chunk once per four columns instead of once per column.  Each column's
-/// accumulation stays in plain sequential order, bitwise identical to a
-/// sequential dot product -- so the Arnoldi hook protocol observes the
-/// same projection coefficients through the fused CGS path as through the
-/// per-vector reference path: exactly, when the reference dot runs
-/// serially (below la::dot's parallel threshold, or one thread); to
-/// reduction roundoff when it runs as a multi-threaded OpenMP reduction
-/// (combine order is thread-arrival-dependent).
+/// accumulation stays in plain sequential order and OpenMP only splits
+/// the work across columns (gemv_t) or row chunks (gemv), so every result
+/// is bitwise independent of the thread count.  A gemv_t coefficient is
+/// bitwise equal to la::dot of the same column while la::dot runs its
+/// plain sequential loop (up to 4096 rows); above that la::dot sums a
+/// fixed block partition instead and the two agree to roundoff.
+///
+/// Each kernel is one template over the scalar, exposed as concrete double
+/// (reliable plane) and float (mixed-precision inner plane) overloads with
+/// all arithmetic in that scalar.
 
 #include <cstddef>
 #include <span>
@@ -30,38 +33,28 @@ namespace sdcgmres::la {
 /// entries.
 void gemv(double alpha, std::size_t rows, std::size_t cols, const double* b,
           std::size_t lda, const double* x, double beta, double* y);
+void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,
+          std::size_t lda, const float* x, float beta, float* y);
 
 /// y := alpha*B^T*x + beta*y over the same block layout.  x has rows
 /// entries, y has cols entries.  Each y[j] accumulates column j
-/// sequentially, bitwise identical to a sequential dot(col_j, x).
+/// sequentially.
 void gemv_t(double alpha, std::size_t rows, std::size_t cols, const double* b,
             std::size_t lda, const double* x, double beta, double* y);
+void gemv_t(float alpha, std::size_t rows, std::size_t cols, const float* b,
+            std::size_t lda, const float* x, float beta, float* y);
 
 /// y := alpha*Q*x + beta*y for a basis view (x.size() == Q.cols(),
 /// y.size() == Q.rows()).
 void gemv(double alpha, const BasisView& q, std::span<const double> x,
           double beta, std::span<double> y);
+void gemv(float alpha, const BasisViewT<float>& q, std::span<const float> x,
+          float beta, std::span<float> y);
 
 /// y := alpha*Q^T*x + beta*y for a basis view (x.size() == Q.rows(),
 /// y.size() == Q.cols()).
 void gemv_t(double alpha, const BasisView& q, std::span<const double> x,
             double beta, std::span<double> y);
-
-// --- Float kernels (mixed-precision inner plane) ------------------------
-//
-// Concrete float overloads of the raw and BasisView gemv/gemv_t kernels:
-// same column blocking, accumulator chains, and OpenMP thresholds as the
-// double kernels, with all arithmetic in float.
-
-void gemv(float alpha, std::size_t rows, std::size_t cols, const float* b,
-          std::size_t lda, const float* x, float beta, float* y);
-
-void gemv_t(float alpha, std::size_t rows, std::size_t cols, const float* b,
-            std::size_t lda, const float* x, float beta, float* y);
-
-void gemv(float alpha, const BasisViewT<float>& q, std::span<const float> x,
-          float beta, std::span<float> y);
-
 void gemv_t(float alpha, const BasisViewT<float>& q, std::span<const float> x,
             float beta, std::span<float> y);
 

@@ -114,14 +114,12 @@ HttpServer::~HttpServer() {
 }
 
 void HttpServer::start() {
-  if (running_) return;
-  running_ = true;
+  if (running_.exchange(true)) return;
   thread_ = std::thread([this] { serve(); });
 }
 
 void HttpServer::stop() {
-  if (!running_) return;
-  running_ = false;
+  if (!running_.exchange(false)) return;
   // Unblock accept(): shutdown makes the pending accept fail, and the
   // loop exits on the running_ flag.
   ::shutdown(listen_fd_, SHUT_RDWR);

@@ -10,6 +10,7 @@
 /// a slow sweep never blocks the status endpoint.  No external
 /// dependencies, IPv4 loopback by default.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -59,7 +60,7 @@ private:
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread thread_;
-  bool running_ = false;
+  std::atomic<bool> running_{false}; ///< written by stop(), read by serve()
 };
 
 } // namespace sdcgmres::service

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "gen/convection_diffusion.hpp"
 #include "gen/poisson.hpp"
@@ -332,3 +338,74 @@ TEST(FtGmresRecovery, InnerRecoveryForMapsEveryDetectorResponse) {
   EXPECT_EQ(sdc::inner_recovery_for(sdc::DetectorResponse::RestartOuter),
             krylov::InnerRecovery::RestartOuter);
 }
+
+// --- Thread invariance ------------------------------------------------------
+
+#ifdef _OPENMP
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+} // namespace
+
+/// A 40K-row solve sits far above the BLAS-1 serial threshold (4096), so
+/// every dot, norm and fused MGS step runs the fixed-partition reduction:
+/// the iterate, the residual history and every inner record must be
+/// bitwise identical at 1..4 OpenMP threads.
+TEST(FtGmresThreadInvariance, SolveBitwiseEqualAtOneToFourThreads) {
+  const auto A = gen::poisson2d(200);
+  const la::Vector b = la::ones(A.rows());
+  for (const auto kind :
+       {krylov::Orthogonalization::MGS, krylov::Orthogonalization::CGS2}) {
+    krylov::FtGmresOptions opts;
+    opts.inner.ortho = kind;
+    const auto solve = [&](int threads) {
+      const int saved = omp_get_max_threads();
+      omp_set_num_threads(threads);
+      auto res = krylov::ft_gmres(A, b, opts);
+      omp_set_num_threads(saved);
+      return res;
+    };
+    const auto serial = solve(1);
+    ASSERT_EQ(serial.status, krylov::SolveStatus::Converged);
+    for (int threads = 2; threads <= 4; ++threads) {
+      const auto res = solve(threads);
+      const std::string where = std::string(krylov::to_string(kind)) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(res.x.size(), serial.x.size()) << where;
+      EXPECT_EQ(0, std::memcmp(res.x.data(), serial.x.data(),
+                               serial.x.size() * sizeof(double)))
+          << where;
+      ASSERT_EQ(res.residual_history.size(), serial.residual_history.size())
+          << where;
+      for (std::size_t i = 0; i < serial.residual_history.size(); ++i) {
+        EXPECT_TRUE(
+            same_bits(res.residual_history[i], serial.residual_history[i]))
+            << where << " residual_history[" << i << "]";
+      }
+      EXPECT_TRUE(same_bits(res.residual_norm, serial.residual_norm)) << where;
+      ASSERT_EQ(res.inner_solves.size(), serial.inner_solves.size()) << where;
+      for (std::size_t i = 0; i < serial.inner_solves.size(); ++i) {
+        const krylov::InnerSolveRecord& got = res.inner_solves[i];
+        const krylov::InnerSolveRecord& want = serial.inner_solves[i];
+        EXPECT_EQ(got.outer_index, want.outer_index) << where << " rec " << i;
+        EXPECT_EQ(got.status, want.status) << where << " rec " << i;
+        EXPECT_EQ(got.iterations, want.iterations) << where << " rec " << i;
+        EXPECT_EQ(got.operator_applies, want.operator_applies)
+            << where << " rec " << i;
+        EXPECT_TRUE(same_bits(got.residual_norm, want.residual_norm))
+            << where << " rec " << i;
+        EXPECT_EQ(got.reliable_retries, want.reliable_retries)
+            << where << " rec " << i;
+        EXPECT_EQ(got.triggered_outer_restart, want.triggered_outer_restart)
+            << where << " rec " << i;
+        EXPECT_EQ(got.global_syncs, want.global_syncs) << where << " rec " << i;
+      }
+    }
+  }
+}
+
+#endif // _OPENMP

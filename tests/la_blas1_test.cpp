@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "la/blas1.hpp"
 
@@ -45,21 +51,6 @@ TEST(Blas1Norms, Nrm2OfUnitAxisVector) {
 TEST(Blas1Norms, Nrm2Pythagorean) {
   la::Vector v{3.0, 4.0};
   EXPECT_DOUBLE_EQ(la::nrm2(v), 5.0);
-}
-
-TEST(Blas1Norms, Nrm1SumsAbsoluteValues) {
-  la::Vector v{-1.0, 2.0, -3.0};
-  EXPECT_DOUBLE_EQ(la::nrm1(v), 6.0);
-}
-
-TEST(Blas1Norms, NrmInfPicksLargestMagnitude) {
-  la::Vector v{-7.0, 2.0, 5.0};
-  EXPECT_DOUBLE_EQ(la::nrminf(v), 7.0);
-}
-
-TEST(Blas1Norms, NrmInfOfEmptyIsZero) {
-  la::Vector v;
-  EXPECT_EQ(la::nrminf(v), 0.0);
 }
 
 TEST(Blas1Axpy, BasicUpdate) {
@@ -142,45 +133,25 @@ TEST(Blas1Finite, NegativeInfCounts) {
 
 // --- Fused dot_axpy (the MGS hot-path kernel) -------------------------------
 
-TEST(Blas1DotAxpy, BitwiseMatchesUnfusedDotThenAxpyAtSerialSize) {
-  // Below the OpenMP threshold both kernels accumulate in plain sequential
-  // order, so equality is bitwise.  (Above the threshold the reduction's
-  // combine order is thread-arrival-dependent; see the test below.)
-  const std::size_t n = 4000;
-  la::Vector q(n), v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    q[i] = std::sin(0.31 * static_cast<double>(i));
-    v[i] = std::cos(0.17 * static_cast<double>(i)) + 0.2;
-  }
-  la::Vector v_ref = v;
-  const double h_ref = la::dot(q, v_ref);
-  la::axpy(-h_ref, q, v_ref);
+TEST(Blas1DotAxpy, BitwiseMatchesUnfusedDotThenAxpy) {
+  // The fused dot runs the same fixed partition as dot() -- the plain
+  // sequential loop up to 4096 entries, block partials above -- so the
+  // fused and unfused sequences agree bitwise on both sides of the
+  // threshold.
+  for (const std::size_t n : {std::size_t{4000}, std::size_t{5000},
+                              std::size_t{100003}}) {
+    la::Vector q(n), v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      q[i] = std::sin(0.31 * static_cast<double>(i));
+      v[i] = std::cos(0.17 * static_cast<double>(i)) + 0.2;
+    }
+    la::Vector v_ref = v;
+    const double h_ref = la::dot(q, v_ref);
+    la::axpy(-h_ref, q, v_ref);
 
-  const double h = la::dot_axpy(q.span(), v.span());
-  EXPECT_EQ(h, h_ref);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(v[i], v_ref[i]) << "i=" << i;
-  }
-}
-
-TEST(Blas1DotAxpy, MatchesUnfusedDotThenAxpyAboveParallelThreshold) {
-  // Crosses the OpenMP threshold: with several threads, two separate
-  // parallel reductions may combine partials in different orders, so only
-  // near-equality (to reduction roundoff) is guaranteed here.
-  const std::size_t n = 5000;
-  la::Vector q(n), v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    q[i] = std::sin(0.31 * static_cast<double>(i));
-    v[i] = std::cos(0.17 * static_cast<double>(i)) + 0.2;
-  }
-  la::Vector v_ref = v;
-  const double h_ref = la::dot(q, v_ref);
-  la::axpy(-h_ref, q, v_ref);
-
-  const double h = la::dot_axpy(q.span(), v.span());
-  EXPECT_NEAR(h, h_ref, 1e-12 * (1.0 + std::abs(h_ref)));
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(v[i], v_ref[i], 1e-12) << "i=" << i;
+    const double h = la::dot_axpy(q.span(), v.span());
+    EXPECT_EQ(h, h_ref) << "n=" << n;
+    EXPECT_EQ(v, v_ref) << "n=" << n;
   }
 }
 
@@ -219,3 +190,95 @@ TEST(Blas1SpanOverloads, MatchVectorOverloadsBitwise) {
   la::axpy(0.37, x.span(), y2.span());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y1[i], y2[i]);
 }
+
+// --- Thread invariance of the reductions ------------------------------------
+
+#ifdef _OPENMP
+
+namespace {
+
+/// Everything the reduction kernels return for one input, captured at one
+/// OpenMP thread count.
+template <typename S>
+struct ReductionResults {
+  S dot = S(0);
+  S nrm2 = S(0);
+  std::size_t nonfinite = 0;
+  S h_plain = S(0);
+  S h_seen = S(0); ///< coefficient the dot_axpy hook observed
+  S h_hook = S(0);
+  std::vector<S> y_plain;
+  std::vector<S> y_hook;
+};
+
+template <typename S>
+ReductionResults<S> run_reductions(std::size_t n, int threads) {
+  std::vector<S> x(n), y(n), dirty(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = static_cast<S>(std::sin(0.37 * static_cast<double>(i)) + 1e-3);
+    y[i] = static_cast<S>(std::cos(0.11 * static_cast<double>(i)) - 0.4);
+    dirty[i] = (i % 997 == 5) ? std::numeric_limits<S>::quiet_NaN() : x[i];
+  }
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  ReductionResults<S> out;
+  const std::span<const S> cx(x);
+  out.dot = la::dot(cx, std::span<const S>(y));
+  out.nrm2 = la::nrm2(cx);
+  out.nonfinite = la::count_nonfinite(std::span<const S>(dirty));
+  out.y_plain = y;
+  out.h_plain = la::dot_axpy(cx, std::span<S>(out.y_plain));
+  out.y_hook = y;
+  out.h_hook = la::dot_axpy(cx, std::span<S>(out.y_hook), [&](S& c) {
+    out.h_seen = c;
+    c *= S(3); // mutate, as an injection would
+  });
+  omp_set_num_threads(saved);
+  return out;
+}
+
+template <typename S>
+bool same_bits(S a, S b) {
+  return std::memcmp(&a, &b, sizeof(S)) == 0;
+}
+
+template <typename S>
+bool same_bits(const std::vector<S>& a, const std::vector<S>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(S)) == 0;
+}
+
+template <typename S>
+void expect_thread_invariant(std::size_t n) {
+  const ReductionResults<S> serial = run_reductions<S>(n, 1);
+  for (int threads = 2; threads <= 4; ++threads) {
+    const ReductionResults<S> r = run_reductions<S>(n, threads);
+    const auto where = ::testing::Message()
+                       << "n=" << n << " threads=" << threads
+                       << " sizeof(S)=" << sizeof(S);
+    EXPECT_TRUE(same_bits(r.dot, serial.dot)) << where;
+    EXPECT_TRUE(same_bits(r.nrm2, serial.nrm2)) << where;
+    EXPECT_EQ(r.nonfinite, serial.nonfinite) << where;
+    EXPECT_TRUE(same_bits(r.h_plain, serial.h_plain)) << where;
+    EXPECT_TRUE(same_bits(r.h_seen, serial.h_seen)) << where;
+    EXPECT_TRUE(same_bits(r.h_hook, serial.h_hook)) << where;
+    EXPECT_TRUE(same_bits(r.y_plain, serial.y_plain)) << where;
+    EXPECT_TRUE(same_bits(r.y_hook, serial.y_hook)) << where;
+  }
+  // The hook saw the same coefficient the unhooked kernel returned, and
+  // the count covers every planted NaN.
+  EXPECT_TRUE(same_bits(serial.h_seen, serial.h_plain));
+  EXPECT_EQ(serial.nonfinite, (n - 5 + 996) / 997);
+}
+
+} // namespace
+
+TEST(Blas1ThreadInvariance, ReductionsBitwiseEqualAtOneToFourThreads) {
+  for (const std::size_t n :
+       {std::size_t{4097}, std::size_t{100003}, std::size_t{1} << 20}) {
+    expect_thread_invariant<double>(n);
+    expect_thread_invariant<float>(n);
+  }
+}
+
+#endif // _OPENMP
