@@ -176,7 +176,7 @@ int sweep_timing(const sparse::CsrMatrix& A, const la::Vector& b,
   const auto solve_bytes = [&](const krylov::FtGmresOptions& opts,
                                std::size_t& outers) {
     const krylov::CsrOperator op(A);
-    krylov::FtGmresBatchWorkspace ws;
+    krylov::FtGmresWorkspace ws;
     const std::vector<la::Vector> bs(batch, b);
     const auto res = krylov::ft_gmres_batch(op, bs, opts, {}, &ws);
     outers = res.empty() ? 0 : res.front().outer_iterations;

@@ -150,8 +150,23 @@ std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          // Every other control character: the JSON \u00XX form.
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xf]);
+          out.push_back(kHex[c & 0xf]);
+        } else {
+          out.push_back(c);
+        }
+    }
   }
   return out;
 }

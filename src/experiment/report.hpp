@@ -55,7 +55,9 @@ void print_sweep_summary(std::ostream& out, const std::string& title,
 // --json` on the same spec -- the service acceptance contract.
 // ---------------------------------------------------------------------------
 
-/// Escape a string for embedding in a JSON double-quoted value.
+/// Escape a string for embedding in a JSON double-quoted value: `"` and
+/// `\` get a backslash, newline/CR/tab become \n \r \t, and every other
+/// byte below 0x20 becomes \u00XX.  Other bytes pass through unchanged.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 /// Render a double as a valid JSON token: non-finite values (a NaN

@@ -45,7 +45,7 @@ void form_iterate(const la::Vector& x0, const la::KrylovBasis& zbasis,
 
 // ---------------------------------------------------------------------------
 // FgmresEngine: the one FGMRES implementation.  fgmres() below drives it
-// straight through; the batch drivers interleave many engines.  Any change
+// straight through; the FT-GMRES driver interleaves many engines.  Any change
 // to the iteration math happens HERE and nowhere else.
 // ---------------------------------------------------------------------------
 

@@ -92,7 +92,7 @@ struct FgmresResult {
 };
 
 /// Step-driveable FGMRES: the single implementation behind both the
-/// one-shot fgmres() free function and the lockstep batch drivers
+/// one-shot fgmres() free function and the lockstep FT-GMRES driver
 /// (krylov/ft_gmres_batch.hpp).  One outer iteration is split at its two
 /// external data dependencies so a driver can interleave many instances:
 ///

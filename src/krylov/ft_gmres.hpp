@@ -145,13 +145,13 @@ struct FtGmresResult {
 /// entry (make_engine) and the correction up-converted into z on exit
 /// (finish_engine); the outer iteration never sees the narrowed scalar.
 ///
-/// There is ONE construction path for the inner solve -- make_engine() --
-/// shared by apply() (the solo FT-GMRES path, which drives the engine
-/// straight through) and the lockstep batch driver
-/// (krylov/ft_gmres_batch.cpp, which interleaves the engines of B
-/// instances so each inner Arnoldi iteration issues one fused
-/// apply_block).  finish_engine() closes the bookkeeping either way, so
-/// the two drivers can never diverge in options plumbing or records.
+/// There is ONE construction path for the inner solve -- make_engine().
+/// The FT-GMRES driver (ft_gmres / ft_gmres_batch) calls it for every
+/// instance and interleaves the engines, so each inner Arnoldi iteration
+/// of a multi-instance block issues one fused apply_block; apply() drives
+/// the same engine straight through for FlexiblePreconditioner callers
+/// (ft_cg, the sdc sandbox).  finish_engine() closes the bookkeeping
+/// either way, so options plumbing and records cannot diverge.
 template <typename S>
 class InnerGmresT final : public FlexiblePreconditioner {
 public:
@@ -265,22 +265,14 @@ private:
 /// The reliable-plane inner solve.
 using InnerGmresPreconditioner = InnerGmresT<double>;
 
-namespace detail {
-/// Assemble an FtGmresResult from the outer FGMRES result and the inner
-/// solve records (including the total-inner summations).  Shared by
-/// ft_gmres() and ft_gmres_batch() so the two drivers can never diverge
-/// field-wise.
-[[nodiscard]] FtGmresResult make_ft_gmres_result(
-    FgmresResult&& outer, std::vector<InnerSolveRecord> inner_solves);
-} // namespace detail
-
-/// Solve A x = b with FT-GMRES from a zero initial guess.
+/// Solve A x = b with FT-GMRES from a zero initial guess: a lockstep
+/// batch of one through the FT-GMRES driver (krylov/ft_gmres_batch.hpp).
 /// \param inner_hook observes/corrupts inner solves only; the outer
 ///        iteration is always reliable.
-/// \param ws optional reusable nested workspace (outer + inner slots);
-///        reusing one across solves of the same shape removes all heap
-///        allocation from the iteration paths (the sweep engine checks
-///        out one per worker thread).
+/// \param ws optional reusable workspace; reusing one across solves of
+///        the same shape removes all heap allocation from the iteration
+///        paths, and a narrowed mirror already cached in ws->plane is
+///        reused, not rebuilt.
 [[nodiscard]] FtGmresResult ft_gmres(const LinearOperator& A,
                                      const la::Vector& b,
                                      const FtGmresOptions& opts,

@@ -18,55 +18,30 @@
 ///     all products happen inside the inner solves, so this is where the
 ///     batching win actually lives.
 ///
+/// This is the ONE FT-GMRES driver: krylov::ft_gmres() is a batch of
+/// one, in which every one-column step applies directly with no staging.
+///
 /// Determinism contract: every instance advances through EXACTLY the
-/// floating-point operation sequence of its solo krylov::ft_gmres run --
-/// both nesting levels run the same step-driveable engines the solo path
-/// drives, the fused products' columns are bitwise equal to per-column
-/// apply(), and instances share no mutable state.  Inner hook streams
-/// (fault campaigns, detectors), Hessenberg/QR factorizations, and
-/// records stay strictly per-instance.  An instance that terminates
-/// early -- at either level: a detector-aborted or broken-down inner
-/// solve, a converged/rank-deficient/spent outer -- simply drops out of
-/// its block; the survivors' packed columns are unchanged values, so
-/// their iterate streams are unperturbed.  This is what lets the
-/// injection sweep assert batch=B results are bitwise identical to
-/// batch=1.
+/// floating-point operation sequence of its batch-of-one run -- the fused
+/// products' columns are bitwise equal to per-column apply(), and
+/// instances share no mutable state.  Inner hook streams (fault
+/// campaigns, detectors), Hessenberg/QR factorizations, and records stay
+/// strictly per-instance.  An instance that terminates early -- at either
+/// level: a detector-aborted or broken-down inner solve, a
+/// converged/rank-deficient/spent outer -- simply drops out of its block;
+/// the survivors' packed columns are unchanged values, so their iterate
+/// streams are unperturbed.  This is what lets the injection sweep assert
+/// batch=B results are bitwise identical to batch=1.
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "krylov/ft_gmres.hpp"
 #include "krylov/workspace.hpp"
-#include "la/block.hpp"
 #include "la/vector.hpp"
 
 namespace sdcgmres::krylov {
-
-/// Reusable storage for one batch driver (NOT shareable between
-/// threads): one nested per-instance workspace slot plus the two staging
-/// blocks of the fused operator application.  Like the scalar
-/// workspaces, a driver that solved a (shape, batch) once re-solves it
-/// with no heap allocation on the iteration path.
-struct FtGmresBatchWorkspace {
-  std::vector<FtGmresWorkspace> instances; ///< one per lockstep instance
-  la::BlockWorkspace directions; ///< packed live operand columns (SpMM
-                                 ///< operand; outer Z directions and inner
-                                 ///< iterates/directions take turns -- the
-                                 ///< two lockstep levels never overlap)
-  la::BlockWorkspace products;   ///< A * directions (SpMM result)
-  /// Float staging blocks of the inner lockstep phase for
-  /// precision=float configurations (unused and unallocated on double
-  /// paths, where the inner phase shares directions/products above).
-  la::BlockWorkspaceT<float> directions_f32;
-  la::BlockWorkspaceT<float> products_f32;
-  /// Narrowed-mirror cache shared by every lockstep instance for
-  /// non-default precision/index configurations (the mirror is
-  /// read-only during applies and its counters are atomic, so one copy
-  /// serves the whole batch); null on the default path.
-  std::shared_ptr<MixedPlaneBase> plane;
-};
 
 /// Solve A x_i = b_i for every right-hand side in \p bs with FT-GMRES
 /// from zero initial guesses, advancing all instances in lockstep (one
@@ -78,16 +53,16 @@ struct FtGmresBatchWorkspace {
 ///        campaign + detector chain per injection site); empty = no
 ///        hooks, otherwise must match \p bs in size (nullptr entries
 ///        allowed).
-/// \param ws optional reusable batch workspace.
+/// \param ws optional reusable workspace.
 [[nodiscard]] std::vector<FtGmresResult> ft_gmres_batch(
     const LinearOperator& A, std::span<const std::span<const double>> bs,
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks = {},
-    FtGmresBatchWorkspace* ws = nullptr);
+    FtGmresWorkspace* ws = nullptr);
 
 /// Convenience overload for owning right-hand sides.
 [[nodiscard]] std::vector<FtGmresResult> ft_gmres_batch(
     const LinearOperator& A, const std::vector<la::Vector>& bs,
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks = {},
-    FtGmresBatchWorkspace* ws = nullptr);
+    FtGmresWorkspace* ws = nullptr);
 
 } // namespace sdcgmres::krylov

@@ -10,9 +10,9 @@
 ///
 /// The one implementation is the step-driveable GmresEngine below (the
 /// inner-solve counterpart of krylov::FgmresEngine): gmres() and
-/// gmres_in_place() drive it straight through, and the lockstep batch
-/// driver (krylov/ft_gmres_batch.cpp) interleaves many engines so the B
-/// inner solves of a batch share one fused SpMM per inner iteration.
+/// gmres_in_place() drive it straight through, and the FT-GMRES driver
+/// (krylov/ft_gmres_batch.hpp) interleaves many engines so the B inner
+/// solves of a batch share one fused SpMM per inner iteration.
 
 #include <cstddef>
 #include <span>
@@ -335,8 +335,8 @@ bool step_with_apply(const OperatorT<S>& A, GmresEngineT<S>& engine) {
 
 /// Drive \p engine to completion with solo operator applications -- the
 /// canonical straight-through loop (shown in the GmresEngine docs),
-/// shared by gmres_in_place() and the solo FT-GMRES inner-solve path so
-/// the protocol exists exactly once.
+/// shared by gmres_in_place() and InnerGmresT::apply() so the protocol
+/// exists exactly once.
 template <typename S>
 void drive_to_completion(const OperatorT<S>& A, GmresEngineT<S>& engine) {
   while (!engine.finished()) step_with_apply(A, engine);

@@ -15,14 +15,13 @@
 /// Every layer is one template over the inner scalar S: the inner solve
 /// is InnerGmresT<S> (ft_gmres.hpp) over an OperatorT<S>, and the mirror
 /// is a MatrixOperator over CsrMatrixT/SellMatrixT.  with_inner_operator()
-/// is the single (precision, index_width) dispatch both drivers share;
+/// is the FT-GMRES driver's single (precision, index_width) dispatch;
 /// (double, int64) is the identity narrowing -- the inner solves stream
 /// the outer operator itself and no mirror is built.
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <type_traits>
 
 #include "krylov/ft_gmres.hpp"
 #include "krylov/mixed_plane.hpp"
@@ -40,19 +39,6 @@ template <typename S, typename I>
 using MixedCsrOperator = MatrixOperator<sparse::CsrMatrixT<S, I>>;
 template <typename S, typename I>
 using MixedSellOperator = MatrixOperator<sparse::SellMatrixT<S, I>>;
-
-/// The S-typed inner workspace slot of an FtGmresWorkspace: the double
-/// plane uses the standard inner slot, float configurations use the
-/// dedicated float arena.
-template <typename S>
-[[nodiscard]] inline KrylovWorkspaceT<S>&
-inner_workspace_for(FtGmresWorkspace& w) noexcept {
-  if constexpr (std::is_same_v<S, double>) {
-    return w.inner;
-  } else {
-    return w.inner_f32;
-  }
-}
 
 namespace detail {
 /// Fetch the cached mirror \p M of \p src, narrowing a fresh one when the
@@ -95,10 +81,10 @@ ensure_plane(std::shared_ptr<MixedPlaneBase>& cache,
       "matrix-backed (csr/sell) operator");
 }
 
-/// The one (precision, index_width) dispatch of ft_gmres and
-/// ft_gmres_batch: calls \p run with the inner solves' OperatorT<S> --
-/// the <S, I> mirror of \p A cached in \p cache for non-default pairs,
-/// and \p A itself for (double, int64), which leaves \p cache untouched.
+/// The one (precision, index_width) dispatch of the FT-GMRES driver:
+/// calls \p run with the inner solves' OperatorT<S> -- the <S, I> mirror
+/// of \p A cached in \p cache for non-default pairs, and \p A itself for
+/// (double, int64), which leaves \p cache untouched.
 template <typename Run>
 auto with_inner_operator(const LinearOperator& A, const FtGmresOptions& opts,
                          std::shared_ptr<MixedPlaneBase>& cache, Run&& run) {

@@ -5,11 +5,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "experiment/report.hpp"
 
 namespace sdcgmres::service {
 
@@ -28,6 +32,7 @@ const char* reason_phrase(int status) {
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     case 409: return "Conflict";
+    case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
     default: return "Unknown";
   }
@@ -49,30 +54,48 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-/// Case-insensitive Content-Length lookup in a raw header block.
-std::size_t content_length(const std::string& headers) {
-  static constexpr const char* kName = "content-length:";
+/// Cap on a request head and on a request body, each.
+constexpr std::size_t kMaxMessage = std::size_t{1} << 20;
+
+/// The declared body size of a request, or the status that refuses it.
+struct BodyLength {
+  std::size_t bytes = 0;
+  int refuse = 0; ///< 400 malformed, 413 over kMaxMessage, 0 accepted
+};
+
+/// Case-insensitive Content-Length lookup in a raw header block (0 bytes
+/// when absent).  The value must be a plain decimal: a sign, a non-digit
+/// or trailing garbage answers 400, a size over kMaxMessage answers 413.
+BodyLength content_length(const std::string& headers) {
+  static constexpr std::string_view kName = "content-length:";
   for (std::size_t pos = 0; pos < headers.size();) {
     std::size_t eol = headers.find("\r\n", pos);
     if (eol == std::string::npos) eol = headers.size();
-    const std::string line = headers.substr(pos, eol - pos);
-    std::string lower;
-    lower.reserve(line.size());
-    for (const char c : line) {
-      lower.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    if (lower.rfind(kName, 0) == 0) {
-      try {
-        return static_cast<std::size_t>(
-            std::stoull(line.substr(std::strlen(kName))));
-      } catch (const std::exception&) {
-        return 0;
-      }
-    }
+    const std::string_view line =
+        std::string_view(headers).substr(pos, eol - pos);
     pos = eol + 2;
+    if (line.size() < kName.size() ||
+        !std::equal(kName.begin(), kName.end(), line.begin(),
+                    [](char a, char b) {
+                      return a == std::tolower(static_cast<unsigned char>(b));
+                    })) {
+      continue;
+    }
+    std::string_view value = line.substr(kName.size());
+    const std::size_t first = value.find_first_not_of(" \t");
+    if (first == std::string_view::npos) return {0, 400};
+    value = value.substr(first, value.find_last_not_of(" \t") - first + 1);
+    if (value.find_first_not_of("0123456789") != std::string_view::npos) {
+      return {0, 400};
+    }
+    std::size_t bytes = 0;
+    for (const char c : value) {
+      bytes = bytes * 10 + static_cast<std::size_t>(c - '0');
+      if (bytes > kMaxMessage) return {0, 413}; // stops before overflow
+    }
+    return {bytes, 0};
   }
-  return 0;
+  return {};
 }
 
 } // namespace
@@ -151,16 +174,17 @@ void HttpServer::handle_connection(int fd) {
     }
     data.append(buf, static_cast<std::size_t>(n));
     header_end = data.find("\r\n\r\n");
-    if (data.size() > (1u << 20)) return; // refuse unbounded heads
+    if (data.size() > kMaxMessage) return; // refuse unbounded heads
   }
   const std::size_t body_start = header_end + 4;
   const std::size_t line_end = data.find("\r\n");
   const std::string request_line = data.substr(0, line_end);
   const std::string headers =
       data.substr(line_end + 2, header_end - line_end - 2);
-  // ...then exactly Content-Length body bytes.
-  const std::size_t want = content_length(headers);
-  while (data.size() - body_start < want) {
+  // ...then exactly Content-Length body bytes, unless the declared
+  // length is refused.
+  const BodyLength body = content_length(headers);
+  while (body.refuse == 0 && data.size() - body_start < body.bytes) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -175,18 +199,24 @@ void HttpServer::handle_connection(int fd) {
       sp1 == std::string::npos ? std::string::npos
                                : request_line.find(' ', sp1 + 1);
   HttpResponse response;
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+  if (body.refuse != 0) {
+    response.status = body.refuse;
+    response.body = body.refuse == 413
+                        ? "{\"error\": \"request body over 1 MiB\"}\n"
+                        : "{\"error\": \"malformed Content-Length\"}\n";
+  } else if (sp1 == std::string::npos || sp2 == std::string::npos) {
     response.status = 400;
     response.body = "{\"error\": \"malformed request line\"}\n";
   } else {
     request.method = request_line.substr(0, sp1);
     request.target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-    request.body = data.substr(body_start, want);
+    request.body = data.substr(body_start, body.bytes);
     try {
       response = handler_(request);
     } catch (const std::exception& e) {
       response.status = 500;
-      response.body = std::string("{\"error\": \"") + e.what() + "\"}\n";
+      response.body = "{\"error\": \"" + experiment::json_escape(e.what()) +
+                      "\"}\n";
     }
   }
 

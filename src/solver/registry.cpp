@@ -337,7 +337,8 @@ solver_registry() {
                                 const SolverContext& ctx)
                -> std::unique_ptr<IterativeSolver> {
       no_arg(arg, "ft_gmres_batch");
-      return std::make_unique<BatchedFtGmresSolver>(ctx.A, ctx.options);
+      return std::make_unique<FtGmresSolver>(ctx.A, ctx.options,
+                                             "ft_gmres_batch");
     });
     r->add("cg", [](const std::string& arg, const SolverContext& ctx)
                -> std::unique_ptr<IterativeSolver> {

@@ -216,31 +216,9 @@ SolveReport FgmresSolver::solve(std::span<const double> b,
 // FtGmresSolver
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// The one FtGmresResult -> SolveReport translation, shared by the solo
-/// and batched adapters so their reports can never diverge field-wise.
-SolveReport report_from_ft_result(krylov::FtGmresResult res) {
-  SolveReport r;
-  r.status = res.status;
-  r.iterations = res.outer_iterations;
-  r.total_inner_iterations = res.total_inner_iterations;
-  r.total_inner_applies = res.total_inner_applies;
-  r.residual_norm = res.residual_norm;
-  r.residual_history = std::move(res.residual_history);
-  r.inner_solves = std::move(res.inner_solves);
-  r.sanitized_outputs = res.sanitized_outputs;
-  r.reliable_retries = res.reliable_retries;
-  r.outer_restarts = res.outer_restarts;
-  r.global_syncs = res.global_syncs;
-  return r;
-}
-
-} // namespace
-
 FtGmresSolver::FtGmresSolver(const krylov::LinearOperator& A,
-                             const Options& opts)
-    : a_(&A), opts_(to_ft_gmres_options(opts)) {}
+                             const Options& opts, std::string_view name)
+    : a_(&A), opts_(to_ft_gmres_options(opts)), name_(name) {}
 
 FtGmresSolver::FtGmresSolver(const krylov::LinearOperator& A,
                              const krylov::FtGmresOptions& opts)
@@ -249,79 +227,63 @@ FtGmresSolver::FtGmresSolver(const krylov::LinearOperator& A,
 SolveReport FtGmresSolver::solve(std::span<const double> b,
                                  std::span<double> x) {
   check_sizes(*this, b, x);
-  copy_in(b, b_scratch_);
-  krylov::FtGmresResult res =
-      krylov::ft_gmres(*a_, b_scratch_, opts_, hook_, &ws_);
-  copy_out(res.x, x);
-  return report_from_ft_result(std::move(res));
-}
-
-krylov::OperatorStats FtGmresSolver::mixed_stats() const noexcept {
-  return ws_.plane != nullptr ? ws_.plane->stats() : krylov::OperatorStats{};
-}
-
-// ---------------------------------------------------------------------------
-// BatchedFtGmresSolver
-// ---------------------------------------------------------------------------
-
-BatchedFtGmresSolver::BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                                           const Options& opts)
-    : a_(&A), opts_(to_ft_gmres_options(opts)) {}
-
-BatchedFtGmresSolver::BatchedFtGmresSolver(const krylov::LinearOperator& A,
-                                           const krylov::FtGmresOptions& opts)
-    : a_(&A), opts_(opts) {}
-
-SolveReport BatchedFtGmresSolver::solve(std::span<const double> b,
-                                        std::span<double> x) {
-  check_sizes(*this, b, x);
-  // A batch of one: the engine walks the exact ft_gmres operation
-  // sequence and the one-column apply_block is bitwise equal to apply(),
-  // so this report matches FtGmresSolver::solve exactly.
   const std::span<const double> bs[] = {b};
-  krylov::ArnoldiHook* hooks[] = {hook_};
-  std::vector<krylov::FtGmresResult> res =
-      krylov::ft_gmres_batch(*a_, bs, opts_, hooks, &ws_);
-  std::copy(res[0].x.data(), res[0].x.data() + res[0].x.size(), x.begin());
-  return report_from_ft_result(std::move(res[0]));
+  const std::span<double> xs[] = {x};
+  krylov::ArnoldiHook* const hooks[] = {hook_};
+  return std::move(solve_lockstep(bs, xs, hooks).front());
 }
 
-std::vector<SolveReport> BatchedFtGmresSolver::solve_batch(
+std::vector<SolveReport> FtGmresSolver::solve_batch(
     std::span<const std::span<const double>> bs,
     std::span<const std::span<double>> xs,
     std::span<krylov::ArnoldiHook* const> inner_hooks) {
+  const auto reject = [this](const char* why) {
+    throw std::invalid_argument(std::string(name()) + ": " + why);
+  };
   if (hook_ != nullptr && inner_hooks.empty()) {
     // Same philosophy as IterativeSolver::set_hook on a hookless solver:
     // silently dropping an installed fault campaign/detector would
     // misattribute experiment results.  Batch hooks are per-instance.
-    throw std::invalid_argument(
-        "ft_gmres_batch: a hook installed via set_hook() does not apply to "
-        "solve_batch(); pass one (possibly null) hook per instance in "
-        "inner_hooks instead");
+    reject("a hook installed via set_hook() does not apply to "
+           "solve_batch(); pass one (possibly null) hook per instance in "
+           "inner_hooks instead");
   }
-  if (bs.size() != xs.size()) {
-    throw std::invalid_argument(
-        "ft_gmres_batch: bs and xs must match in size");
-  }
+  if (bs.size() != xs.size()) reject("bs and xs must match in size");
   for (std::size_t i = 0; i < bs.size(); ++i) {
     if (bs[i].size() != dimension() || xs[i].size() != dimension()) {
-      throw std::invalid_argument(
-          "ft_gmres_batch: every b/x span must have size dimension()");
+      reject("every b/x span must have size dimension()");
     }
   }
+  return solve_lockstep(bs, xs, inner_hooks);
+}
+
+std::vector<SolveReport> FtGmresSolver::solve_lockstep(
+    std::span<const std::span<const double>> bs,
+    std::span<const std::span<double>> xs,
+    std::span<krylov::ArnoldiHook* const> hooks) {
   std::vector<krylov::FtGmresResult> res =
-      krylov::ft_gmres_batch(*a_, bs, opts_, inner_hooks, &ws_);
+      krylov::ft_gmres_batch(*a_, bs, opts_, hooks, &ws_);
   std::vector<SolveReport> reports;
   reports.reserve(res.size());
   for (std::size_t i = 0; i < res.size(); ++i) {
-    std::copy(res[i].x.data(), res[i].x.data() + res[i].x.size(),
-              xs[i].begin());
-    reports.push_back(report_from_ft_result(std::move(res[i])));
+    copy_out(res[i].x, xs[i]);
+    SolveReport& r = reports.emplace_back();
+    r.status = res[i].status;
+    r.iterations = res[i].outer_iterations;
+    r.total_inner_iterations = res[i].total_inner_iterations;
+    r.total_inner_applies = res[i].total_inner_applies;
+    r.residual_norm = res[i].residual_norm;
+    r.residual_history = std::move(res[i].residual_history);
+    r.inner_solves = std::move(res[i].inner_solves);
+    r.sanitized_outputs = res[i].sanitized_outputs;
+    r.reliable_retries = res[i].reliable_retries;
+    r.outer_restarts = res[i].outer_restarts;
+    r.global_syncs = res[i].global_syncs;
   }
   return reports;
 }
 
-krylov::OperatorStats BatchedFtGmresSolver::mixed_stats() const noexcept {
+krylov::OperatorStats FtGmresSolver::mixed_stats() const noexcept {
   return ws_.plane != nullptr ? ws_.plane->stats() : krylov::OperatorStats{};
 }
 

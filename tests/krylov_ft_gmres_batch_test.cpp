@@ -3,9 +3,11 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/poisson.hpp"
+#include "krylov/fgmres.hpp"
 #include "krylov/ft_gmres.hpp"
 #include "krylov/ft_gmres_batch.hpp"
 #include "krylov/hooks.hpp"
@@ -89,6 +91,75 @@ TEST(FtGmresBatch, LockstepSolvesAreBitwiseIdenticalToSolo) {
     const auto solo = krylov::ft_gmres(op, bs[i], opts);
     expect_same_result(batch[i], solo, "instance vs solo");
     EXPECT_EQ(batch[i].status, krylov::SolveStatus::Converged);
+  }
+}
+
+TEST(FtGmresBatch, BatchOfOneMatchesFgmresDrivingInnerGmres) {
+  // ft_gmres() is a lockstep batch of one, so the "vs solo" checks in this
+  // file compare batch-of-B against batch-of-1.  This reference does not
+  // go through the lockstep driver at all: the plain fgmres() loop with
+  // the inner solve as a FlexiblePreconditioner (InnerGmresT::apply).
+  const auto A = gen::poisson2d(20);
+  const krylov::CsrOperator op(A);
+  krylov::FtGmresOptions opts;
+  opts.inner.max_iters = 10;
+  const la::Vector b = test_rhs(A.rows(), 1)[0];
+  const double bound = A.frobenius_norm();
+
+  struct Policy {
+    krylov::InnerRecovery recovery;
+    sdc::DetectorResponse response;
+  };
+  const Policy policies[] = {
+      {krylov::InnerRecovery::None, sdc::DetectorResponse::AbortSolve},
+      {krylov::InnerRecovery::RetryReliable,
+       sdc::DetectorResponse::RetryReliable}};
+  for (const Policy& policy : policies) {
+    opts.recovery = policy.recovery;
+    for (const std::size_t site : {0u, 3u, 17u, 40u}) {
+      SCOPED_TRACE("site " + std::to_string(site) + " recovery " +
+                   std::to_string(static_cast<int>(policy.recovery)));
+      const auto plan = sdc::InjectionPlan::hessenberg(
+          site, sdc::MgsPosition::First, sdc::FaultModel::scale(1e150));
+
+      sdc::FaultCampaign campaign(plan);
+      sdc::HessenbergBoundDetector detector(bound, policy.response);
+      krylov::HookChain chain({&campaign, &detector});
+      const auto got = krylov::ft_gmres(op, b, opts, &chain);
+
+      sdc::FaultCampaign ref_campaign(plan);
+      sdc::HessenbergBoundDetector ref_detector(bound, policy.response);
+      krylov::HookChain ref_chain({&ref_campaign, &ref_detector});
+      krylov::InnerGmresPreconditioner inner(op, opts.inner, &ref_chain,
+                                             opts.robust_first_inner,
+                                             nullptr, opts.recovery);
+      const auto want =
+          krylov::fgmres(op, b, la::Vector(A.rows()), opts.outer, inner);
+
+      EXPECT_TRUE(campaign.fired());
+      EXPECT_TRUE(detector.triggered());
+      EXPECT_EQ(ref_detector.triggered(), detector.triggered());
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.outer_iterations, want.outer_iterations);
+      ASSERT_EQ(got.x.size(), want.x.size());
+      for (std::size_t i = 0; i < got.x.size(); ++i) {
+        ASSERT_EQ(got.x[i], want.x[i]) << "x[" << i << "]";
+      }
+      EXPECT_EQ(got.residual_history, want.residual_history); // bitwise
+      const auto& records = inner.records();
+      ASSERT_EQ(got.inner_solves.size(), records.size());
+      for (std::size_t k = 0; k < records.size(); ++k) {
+        const krylov::InnerSolveRecord& g = got.inner_solves[k];
+        const krylov::InnerSolveRecord& w = records[k];
+        EXPECT_EQ(g.outer_index, w.outer_index);
+        EXPECT_EQ(g.status, w.status);
+        EXPECT_EQ(g.iterations, w.iterations);
+        EXPECT_EQ(g.operator_applies, w.operator_applies);
+        EXPECT_EQ(g.residual_norm, w.residual_norm);
+        EXPECT_EQ(g.reliable_retries, w.reliable_retries);
+        EXPECT_EQ(g.global_syncs, w.global_syncs);
+      }
+    }
   }
 }
 
@@ -201,7 +272,7 @@ TEST(FtGmresBatch, ReusedWorkspaceStaysBitwiseIdentical) {
   const auto A = gen::poisson2d(9);
   const krylov::CsrOperator op(A);
   const auto opts = small_opts();
-  krylov::FtGmresBatchWorkspace ws;
+  krylov::FtGmresWorkspace ws;
 
   const auto bs4 = test_rhs(A.rows(), 4);
   const auto first = krylov::ft_gmres_batch(op, bs4, opts, {}, &ws);
@@ -216,7 +287,32 @@ TEST(FtGmresBatch, ReusedWorkspaceStaysBitwiseIdentical) {
   (void)first;
 }
 
-TEST(BatchedFtGmresSolverFacade, SingleSolveMatchesFtGmresSolver) {
+TEST(FtGmresBatch, BatchOfOneReservesNoStaging) {
+  // A solo solve never packs columns, so it must not pay for the staging
+  // blocks (2 x rows doubles per instance) that only multi-instance
+  // blocks use; a warm workspace keeps them once a batch reserved them.
+  const auto A = gen::poisson2d(9);
+  const krylov::CsrOperator op(A);
+  const auto opts = small_opts();
+  const auto bs = test_rhs(A.rows(), 2);
+  krylov::FtGmresWorkspace ws;
+
+  const auto solo = krylov::ft_gmres(op, bs[0], opts, nullptr, &ws);
+  EXPECT_EQ(ws.instances.size(), 1u);
+  EXPECT_EQ(ws.directions.capacity(), 0u);
+  EXPECT_EQ(ws.products.capacity(), 0u);
+
+  (void)krylov::ft_gmres_batch(op, bs, opts, {}, &ws);
+  EXPECT_EQ(ws.instances.size(), 2u);
+  EXPECT_EQ(ws.directions.capacity(), 2u);
+  EXPECT_EQ(ws.products.capacity(), 2u);
+
+  const auto warm = krylov::ft_gmres(op, bs[0], opts, nullptr, &ws);
+  EXPECT_EQ(ws.directions.capacity(), 2u);
+  expect_same_result(warm, solo, "warm batch workspace vs cold solo");
+}
+
+TEST(FtGmresSolverFacade, SolveBatchOfOneMatchesSolve) {
   const auto A = gen::poisson2d(10);
   const krylov::CsrOperator op(A);
   solver::Options options;
@@ -224,11 +320,14 @@ TEST(BatchedFtGmresSolverFacade, SingleSolveMatchesFtGmresSolver) {
   const auto bs = test_rhs(A.rows(), 1);
 
   solver::FtGmresSolver solo(op, options);
-  solver::BatchedFtGmresSolver batched(op, options);
+  solver::FtGmresSolver batched(op, options, "ft_gmres_batch");
+  EXPECT_EQ(batched.name(), "ft_gmres_batch");
   la::Vector x_solo(A.rows());
   la::Vector x_batch(A.rows());
   const auto r_solo = solo.solve(bs[0].span(), x_solo.span());
-  const auto r_batch = batched.solve(bs[0].span(), x_batch.span());
+  const std::span<const double> b_spans[] = {bs[0].span()};
+  const std::span<double> x_spans[] = {x_batch.span()};
+  const auto r_batch = batched.solve_batch(b_spans, x_spans).front();
 
   EXPECT_EQ(r_batch.status, r_solo.status);
   EXPECT_EQ(r_batch.iterations, r_solo.iterations);
@@ -239,10 +338,10 @@ TEST(BatchedFtGmresSolverFacade, SingleSolveMatchesFtGmresSolver) {
   }
 }
 
-TEST(BatchedFtGmresSolverFacade, SolveBatchValidatesShapes) {
+TEST(FtGmresSolverFacade, SolveBatchValidatesShapes) {
   const auto A = gen::poisson2d(6);
   const krylov::CsrOperator op(A);
-  solver::BatchedFtGmresSolver batched(op);
+  solver::FtGmresSolver batched(op);
   la::Vector b(A.rows());
   la::Vector x_short(A.rows() - 1);
   const std::span<const double> bs[] = {b.span()};
@@ -252,13 +351,13 @@ TEST(BatchedFtGmresSolverFacade, SolveBatchValidatesShapes) {
   EXPECT_THROW((void)batched.solve_batch(bs, {}), std::invalid_argument);
 }
 
-TEST(BatchedFtGmresSolverFacade, SingleSolveHookDoesNotLeakIntoSolveBatch) {
+TEST(FtGmresSolverFacade, SingleSolveHookDoesNotLeakIntoSolveBatch) {
   // The set_hook() seam covers solve() only; solve_batch() refuses to
   // run with an installed single-solve hook but no per-instance hooks
   // (silently dropping a fault campaign would corrupt an experiment).
   const auto A = gen::poisson2d(6);
   const krylov::CsrOperator op(A);
-  solver::BatchedFtGmresSolver batched(op);
+  solver::FtGmresSolver batched(op);
   krylov::HookChain chain;
   batched.set_hook(&chain);
   la::Vector b = la::ones(A.rows());

@@ -175,7 +175,7 @@ TEST(MixedPrecisionFtGmres, BatchedDoubleInt32IsBitwiseIdenticalToDefault) {
        {static_cast<const krylov::LinearOperator*>(&csr),
         static_cast<const krylov::LinearOperator*>(&sell)}) {
     const std::string name = op == &csr ? "csr" : "sell";
-    krylov::FtGmresBatchWorkspace ws64, ws32;
+    krylov::FtGmresWorkspace ws64, ws32;
     op->reset_stats();
     const auto got64 = krylov::ft_gmres_batch(*op, bs, opts, {}, &ws64);
     EXPECT_EQ(ws64.plane, nullptr) << name;

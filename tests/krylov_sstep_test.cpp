@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -339,10 +340,16 @@ TEST(SStepFacade, SEqualsOneFacadeSolveIsBitwiseIdentical) {
     EXPECT_EQ(ra.global_syncs, rc.global_syncs);
   }
   {
-    solver::BatchedFtGmresSolver a(op, dflt), c(op, explicit_one);
-    solver::SolveReport ra, rc;
-    EXPECT_TRUE(bitwise_equal(a.solve(b, &ra), c.solve(b, &rc)));
-    EXPECT_EQ(ra.global_syncs, rc.global_syncs);
+    // The lockstep entry point of the same facade.
+    solver::FtGmresSolver a(op, dflt), c(op, explicit_one);
+    la::Vector xa(A.rows()), xc(A.rows());
+    const std::span<const double> bs[] = {b.span()};
+    const std::span<double> xas[] = {xa.span()};
+    const std::span<double> xcs[] = {xc.span()};
+    const auto ra = a.solve_batch(bs, xas);
+    const auto rc = c.solve_batch(bs, xcs);
+    EXPECT_TRUE(bitwise_equal(xa, xc));
+    EXPECT_EQ(ra[0].global_syncs, rc[0].global_syncs);
   }
 }
 
@@ -356,13 +363,19 @@ TEST(SStepFacade, BatchedSolveMatchesSoloAtSGreaterThanOne) {
   opts.s_step = 4;
 
   solver::FtGmresSolver solo(op, opts);
-  solver::BatchedFtGmresSolver batched(op, opts);
-  solver::SolveReport rs, rb;
+  solver::FtGmresSolver batched(op, opts);
+  solver::SolveReport rs;
   const la::Vector xs = solo.solve(b, &rs);
-  const la::Vector xb = batched.solve(b, &rb);
-  EXPECT_TRUE(bitwise_equal(xs, xb));
-  EXPECT_EQ(rs.global_syncs, rb.global_syncs);
-  EXPECT_EQ(rs.iterations, rb.iterations);
+  // Two lockstep instances of the same rhs: each must match the solo run.
+  la::Vector xb0(A.rows()), xb1(A.rows());
+  const std::span<const double> bs[] = {b.span(), b.span()};
+  const std::span<double> xbs[] = {xb0.span(), xb1.span()};
+  const auto rb = batched.solve_batch(bs, xbs);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(bitwise_equal(xs, i == 0 ? xb0 : xb1));
+    EXPECT_EQ(rs.global_syncs, rb[i].global_syncs);
+    EXPECT_EQ(rs.iterations, rb[i].iterations);
+  }
 }
 
 TEST(SStepFacade, UnsupportedFamiliesRejectSGreaterThanOne) {

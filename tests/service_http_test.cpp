@@ -3,13 +3,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "experiment/report.hpp"
 #include "service/http.hpp"
 
 namespace service = sdcgmres::service;
@@ -26,6 +30,9 @@ std::string raw_request(std::uint16_t port, const std::string& request) {
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  // A server that never answers fails the test instead of hanging it.
+  const timeval timeout{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   std::size_t off = 0;
   while (off < request.size()) {
     const ssize_t n =
@@ -57,7 +64,74 @@ std::string post(std::uint16_t port, const std::string& target,
                                body);
 }
 
+/// Minimal JSON string decoder: \p text[pos] must open a string; returns
+/// its decoded value and leaves \p pos just past the closing quote.
+/// Flags raw control characters and unknown escapes as test failures.
+std::string decode_json_string(std::string_view text, std::size_t& pos) {
+  std::string out;
+  EXPECT_EQ(text.substr(pos, 1), "\"");
+  for (++pos; pos < text.size(); ++pos) {
+    const char c = text[pos];
+    if (c == '"') {
+      ++pos;
+      return out;
+    }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      ADD_FAILURE() << "raw control byte " << int(c) << " in JSON string";
+      return out;
+    }
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    const char e = text.at(++pos);
+    switch (e) {
+      case '"': case '\\': case '/': out.push_back(e); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        const unsigned code =
+            std::stoul(std::string(text.substr(pos + 1, 4)), nullptr, 16);
+        EXPECT_LT(code, 0x80u) << "decoder handles ASCII escapes only";
+        out.push_back(static_cast<char>(code));
+        pos += 4;
+        break;
+      }
+      default:
+        ADD_FAILURE() << "invalid escape \\" << e;
+        return out;
+    }
+  }
+  ADD_FAILURE() << "unterminated JSON string";
+  return out;
+}
+
+/// The response body after the head.
+std::string body_of(const std::string& response) {
+  const std::size_t end = response.find("\r\n\r\n");
+  return end == std::string::npos ? std::string() : response.substr(end + 4);
+}
+
 } // namespace
+
+TEST(JsonEscape, ControlBytesQuoteAndBackslashRoundTrip) {
+  std::string raw;
+  for (int c = 0x00; c < 0x20; ++c) raw.push_back(static_cast<char>(c));
+  raw += "\"\\ plain text";
+  const std::string doc = "\"" + sdcgmres::experiment::json_escape(raw) + "\"";
+  std::size_t pos = 0;
+  EXPECT_EQ(decode_json_string(doc, pos), raw);
+  EXPECT_EQ(pos, doc.size());
+  // The short forms for the common three, \u00XX for the rest.
+  EXPECT_EQ(sdcgmres::experiment::json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(sdcgmres::experiment::json_escape(std::string(1, '\x01')),
+            "\\u0001");
+  EXPECT_EQ(sdcgmres::experiment::json_escape("matrix=poisson n=20"),
+            "matrix=poisson n=20");
+}
 
 TEST(HttpServer, EphemeralPortRoundTripsGetAndPost) {
   service::HttpServer server(0, [](const service::HttpRequest& request) {
@@ -112,6 +186,66 @@ TEST(HttpServer, HandlerExceptionBecomes500NotACrash) {
   // The server survived: a second request still answers.
   EXPECT_NE(get(server.port(), "/").find("500"), std::string::npos);
   server.stop();
+}
+
+TEST(HttpServer, HandlerExceptionBodyIsValidJson) {
+  const std::string message = "bad \"spec\"\nline 2";
+  service::HttpServer server(0, [&](const service::HttpRequest&)
+                                    -> service::HttpResponse {
+    throw std::runtime_error(message);
+  });
+  server.start();
+  const std::string body = body_of(get(server.port(), "/"));
+  server.stop();
+  const std::string_view prefix = "{\"error\": ";
+  ASSERT_EQ(body.substr(0, prefix.size()), prefix) << body;
+  std::size_t pos = prefix.size();
+  EXPECT_EQ(decode_json_string(body, pos), message);
+  EXPECT_EQ(body.substr(pos), "}\n");
+}
+
+TEST(HttpServer, MalformedContentLengthIs400) {
+  std::atomic<int> handled{0};
+  service::HttpServer server(0, [&](const service::HttpRequest&) {
+    ++handled;
+    return service::HttpResponse{};
+  });
+  server.start();
+  for (const char* value : {"abc", "-1", "+5", "12abc", "1 2", ""}) {
+    SCOPED_TRACE(value);
+    const std::string got = raw_request(
+        server.port(), std::string("POST /jobs HTTP/1.1\r\nContent-Length: ") +
+                           value + "\r\n\r\n");
+    EXPECT_NE(got.find("HTTP/1.1 400 Bad Request"), std::string::npos)
+        << got;
+  }
+  EXPECT_EQ(handled, 0) << "a refused request must not reach the handler";
+  // Surrounding whitespace is allowed.
+  EXPECT_NE(raw_request(server.port(),
+                        "POST /jobs HTTP/1.1\r\nContent-Length:  2 \r\n\r\nok")
+                .find("200 OK"),
+            std::string::npos);
+  server.stop();
+  EXPECT_EQ(handled, 1);
+}
+
+TEST(HttpServer, BodyOverOneMebibyteIs413) {
+  std::atomic<bool> handled{false};
+  service::HttpServer server(0, [&](const service::HttpRequest&) {
+    handled = true;
+    return service::HttpResponse{};
+  });
+  server.start();
+  for (const char* value : {"1048577", "99999999999999999999999999"}) {
+    SCOPED_TRACE(value);
+    const std::string got = raw_request(
+        server.port(), std::string("POST /jobs HTTP/1.1\r\nContent-Length: ") +
+                           value + "\r\n\r\n");
+    EXPECT_NE(got.find("HTTP/1.1 413 Payload Too Large"), std::string::npos)
+        << got;
+  }
+  server.stop();
+  EXPECT_FALSE(handled) << "a refused body must not reach the handler";
 }
 
 TEST(HttpServer, MalformedRequestLineIs400) {
