@@ -23,8 +23,7 @@ ArnoldiResult arnoldi(const LinearOperator& A, const la::Vector& v0,
   }
   out.h.reshape(m + 1, m);
   out.q = la::KrylovBasis(A.rows(), m + 1);
-  out.q.append(v0);
-  la::scal(1.0 / beta, out.q.col(0));
+  out.q.append(v0.span(), 1.0 / beta);
 
   if (hook != nullptr) hook->on_solve_begin(0);
   la::Vector v(A.rows());
@@ -34,9 +33,8 @@ ArnoldiResult arnoldi(const LinearOperator& A, const la::Vector& v0,
     if (hook != nullptr) hook->on_iteration_begin(ctx);
     A.apply(out.q.col(j), v);
     if (hook != nullptr) hook->on_matvec_result(ctx, v.span());
-    orthogonalize(ortho, out.q, j + 1, v, hcol, hook, ctx);
+    double hnext = orthogonalize(ortho, out.q, j + 1, v, hcol, hook, ctx).exit;
     for (std::size_t i = 0; i <= j; ++i) out.h(i, j) = hcol[i];
-    double hnext = la::nrm2(v);
     if (hook != nullptr) hook->on_subdiagonal(ctx, hnext);
     out.h(j + 1, j) = hnext;
     out.steps = j + 1;
@@ -45,8 +43,7 @@ ArnoldiResult arnoldi(const LinearOperator& A, const la::Vector& v0,
       out.breakdown = true;
       break;
     }
-    out.q.append(v.span());
-    la::scal(1.0 / hnext, out.q.col(j + 1));
+    out.q.append(v.span(), 1.0 / hnext);
     if (hook != nullptr) {
       hcol[j + 1] = hnext;
       const ArnoldiIterationView view{

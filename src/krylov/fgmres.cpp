@@ -106,8 +106,7 @@ bool FgmresEngine::start() {
   la::KrylovBasis& zbasis = w_->arena.directions(); // preconditioned dirs
   q.clear();
   zbasis.clear();
-  q.append(r);
-  la::scal(1.0 / beta_, q.col(0));
+  q.append(r.span(), 1.0 / beta_);
 
   w_->qr.reset(opts_.max_outer, beta_);
   if (opts_.rank_check_every_iteration) {
@@ -180,9 +179,8 @@ bool FgmresEngine::advance() {
       case Orthogonalization::CGS: result_.global_syncs += 1; break;
       case Orthogonalization::CGS2: result_.global_syncs += 2; break;
     }
-    orthogonalize(opts_.ortho, q, j + 1, v, hcol, nullptr, ctx);
     ++result_.global_syncs; // h(j+1,j) = ||v||
-    hnext = la::nrm2(v);
+    hnext = orthogonalize(opts_.ortho, q, j + 1, v, hcol, nullptr, ctx).exit;
     hcol[j + 1] = hnext;
     est = qr.add_column({hcol.data(), j + 2});
     result_.outer_iterations = base_iters_ + j + 1;
@@ -236,8 +234,7 @@ bool FgmresEngine::advance() {
   }
 
   result_.residual_history.push_back(est);
-  q.append(v.span());
-  la::scal(1.0 / hnext, q.col(j + 1));
+  q.append(v.span(), 1.0 / hnext);
 
   if (est <= abs_target_) {
     form_iterate(x0_, zbasis, qr, opts_, result_.x);
@@ -342,8 +339,7 @@ bool FgmresEngine::restart_cycle() {
 
   q.clear();
   zbasis.clear();
-  q.append(r);
-  la::scal(1.0 / beta_, q.col(0));
+  q.append(r.span(), 1.0 / beta_);
   qr.reset(opts_.max_outer, beta_);
   if (opts_.rank_check_every_iteration) ice_.reset();
   std::vector<double>& hcol = w_->arena.h_column();

@@ -31,6 +31,38 @@ inline std::size_t ortho_sync_count(Orthogonalization kind,
   return 0;
 }
 
+// Basis traffic, in length-n words (GmresStats::basis_bytes).
+
+/// append(v, scale): read v, write the new column.
+constexpr std::size_t kAppendWords = 2;
+
+/// One blocked projection pass over k columns: gemv_t reads every column
+/// once and v once per four-column group (each tail column re-reads v);
+/// gemv reads every column once and reads and writes v once.
+inline std::size_t projection_words(std::size_t k) noexcept {
+  return (k + k / 4 + k % 4) + (k + 2);
+}
+
+/// One orthogonalization of v against k columns, norms of v on entry and
+/// exit included.  MGS is one la::mgs pass: sweep 0 reads q_0 and v,
+/// sweeps 1..k-1 read q_{i-1}, q_i and v and write v, sweep k reads
+/// q_{k-1} and v and writes v.  CGS and CGS2 run one or two projection
+/// passes plus the two la::nrm2 calls.
+inline std::size_t ortho_words(Orthogonalization kind,
+                               std::size_t k) noexcept {
+  switch (kind) {
+    case Orthogonalization::MGS: return 4 * k + 1;
+    case Orthogonalization::CGS: return projection_words(k) + 2;
+    case Orthogonalization::CGS2: return 2 * projection_words(k) + 2;
+  }
+  return 0;
+}
+
+/// la::tsqr of an n x m panel: the local Householder QR and the explicit
+/// local Q read and write the panel once (row panels stay cache-resident),
+/// the final panel-times-G multiply reads and writes it again.
+inline std::size_t tsqr_words(std::size_t m) noexcept { return 4 * m; }
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -150,8 +182,8 @@ bool GmresEngineT<S>::start_cycle() {
   // one buffer so orthogonalization runs as fused block kernels.
   la::KrylovBasisT<S>& q = w_->arena.basis();
   q.clear();
-  q.append(r);
-  la::scal(static_cast<S>(1.0 / beta), q.col(0));
+  q.append(r.span(), static_cast<S>(1.0 / beta));
+  add_basis_words(kAppendWords);
 
   w_->qr.reset(cycle_len_, static_cast<S>(beta));
   awaiting_residual_ = false;
@@ -248,12 +280,14 @@ bool GmresEngineT<S>::advance() {
       }
     }
   }
+  // One pass orthogonalizes v and measures it before (the breakdown
+  // scale reference) and after (h(j+1,j)).
   ++stats_.global_syncs; // ||v|| (breakdown scale)
-  const double w_norm = static_cast<double>(
-      la::nrm2(std::span<const S>(v))); // breakdown scale reference
-
   stats_.global_syncs += ortho_sync_count(opts_.ortho, j + 1);
-  orthogonalize(opts_.ortho, q, j + 1, v, hcol, hook_, ctx);
+  add_basis_words(ortho_words(opts_.ortho, j + 1));
+  const la::OrthoNorms<S> norms =
+      orthogonalize(opts_.ortho, q, j + 1, v, hcol, hook_, ctx);
+  const double w_norm = static_cast<double>(norms.entry);
   if (hook_ != nullptr && hook_->abort_requested()) {
     // Drop the tainted column entirely; solve with the j columns that
     // were accepted before the detector fired.
@@ -261,7 +295,7 @@ bool GmresEngineT<S>::advance() {
   }
 
   ++stats_.global_syncs; // h(j+1,j) = ||v||
-  double hnext = static_cast<double>(la::nrm2(std::span<const S>(v)));
+  double hnext = static_cast<double>(norms.exit);
   if (hook_ != nullptr) hook_->on_subdiagonal(ctx, hnext);
   if (hook_ != nullptr && hook_->abort_requested()) {
     return finish_cycle(/*aborted=*/true, false, false, false, false);
@@ -289,8 +323,8 @@ bool GmresEngineT<S>::advance() {
   if (hnext <= opts_.breakdown_tol * (w_norm > 0.0 ? w_norm : 1.0)) {
     return finish_cycle(false, /*breakdown=*/true, false, false, false);
   }
-  q.append(std::span<const S>(v));
-  la::scal(static_cast<S>(1.0 / hnext), q.col(j + 1));
+  q.append(std::span<const S>(v), static_cast<S>(1.0 / hnext));
+  add_basis_words(kAppendWords);
 
   if (hook_ != nullptr) {
     if constexpr (std::is_same_v<S, double>) {
@@ -396,6 +430,7 @@ bool GmresEngineT<S>::commit_block() {
   // --- Block projection, ONE fused reduction pass: C = Q_k^T P, then
   // P <- P - Q_k C.  C is kept (widened) for the Hessenberg recovery.
   ++stats_.global_syncs;
+  add_basis_words(m * projection_words(k));
   cmat_.assign(k * m, 0.0);
   cs_.resize(k);
   const la::BasisViewT<S> qk = q.view(k);
@@ -414,6 +449,7 @@ bool GmresEngineT<S>::commit_block() {
   // columns u_1..u_m (unit length by construction -- a mutated
   // subdiagonal does NOT rescale them, unlike the one-vector path).
   ++stats_.global_syncs;
+  add_basis_words(tsqr_words(m));
   rs_.assign(m * m, S(0));
   const la::BlockViewT<S> panel(q.data() + k * q.ld(), n_, m, q.ld());
   la::tsqr(panel, rs_.data(), m);

@@ -103,6 +103,15 @@ struct GmresStats {
                                 ///< communication-avoiding mode improves,
                                 ///< measurable even where wall-clock is
                                 ///< flat (1-core containers).
+  std::size_t basis_bytes = 0;  ///< bytes of length-n basis traffic the
+                                ///< solve streamed, at the plane's scalar
+                                ///< width: every orthogonalization pass
+                                ///< (MGS (4k+1)n words over k columns,
+                                ///< CGS/CGS2 their gemv_t/gemv passes plus
+                                ///< the two norms of v), every s-step block
+                                ///< projection and TSQR, and 2n words per
+                                ///< normalized column appended.  Not part
+                                ///< of any JSON output yet.
 };
 
 /// Step-driveable GMRES: the single implementation behind gmres(),
@@ -273,6 +282,11 @@ private:
   /// Hessenberg recovery with the same hook/termination protocol as the
   /// one-vector path.
   bool commit_block();
+
+  /// Charge \p words length-n words of basis traffic to basis_bytes.
+  void add_basis_words(std::size_t words) noexcept {
+    stats_.basis_bytes += words * n_ * sizeof(S);
+  }
 
   std::span<const S> b_;
   std::span<S> x_;

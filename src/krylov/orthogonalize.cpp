@@ -65,25 +65,19 @@ void hook_coefficient(ArnoldiHook& hook, const ArnoldiContext& ctx,
   coeff = static_cast<S>(wide);
 }
 
-/// MGS over the arena: each column streams through the fused dot_axpy
-/// kernel (one parallel region per column instead of two); the hook's
-/// mutation point sits between the dot and the correction, exactly as in
-/// the reference path.
+/// MGS over the arena: one la::mgs pass, with the hook's mutation point
+/// between each coefficient's reduction and its application, exactly as
+/// in the reference path.
 template <typename S>
-void mgs_pass_fused(const la::KrylovBasisT<S>& q, std::size_t k,
-                    std::span<S> v, std::span<S> h, ArnoldiHook* hook,
-                    const ArnoldiContext& ctx) {
-  for (std::size_t i = 0; i < k; ++i) {
-    S hij;
-    if (hook != nullptr) {
-      hij = la::dot_axpy(q.col(i), v, [&](S& c) {
-        hook_coefficient(*hook, ctx, i, k, c);
-      });
-    } else {
-      hij = la::dot_axpy(q.col(i), v);
-    }
-    h[i] += hij;
-  }
+la::OrthoNorms<S> mgs_pass_fused(const la::KrylovBasisT<S>& q, std::size_t k,
+                                 std::span<S> v, std::span<S> h,
+                                 ArnoldiHook* hook, const ArnoldiContext& ctx) {
+  auto fire = [&](std::size_t i, S& c) {
+    hook_coefficient(*hook, ctx, i, k, c);
+  };
+  return la::mgs(q.view(k), v, h,
+                 hook != nullptr ? la::CoefficientHook<S>(fire)
+                                 : la::CoefficientHook<S>());
 }
 
 /// One classical Gram-Schmidt pass over the arena: coefficients via a
@@ -118,26 +112,27 @@ void validate_args(std::size_t basis_cols, std::size_t k,
 }
 
 template <typename S>
-void orthogonalize_fused(Orthogonalization kind, const la::KrylovBasisT<S>& q,
-                         std::size_t k, std::span<S> v, std::span<S> h,
-                         ArnoldiHook* hook, const ArnoldiContext& ctx) {
+la::OrthoNorms<S> orthogonalize_fused(Orthogonalization kind,
+                                      const la::KrylovBasisT<S>& q,
+                                      std::size_t k, std::span<S> v,
+                                      std::span<S> h, ArnoldiHook* hook,
+                                      const ArnoldiContext& ctx) {
   validate_args(q.cols(), k, h.size());
   if (v.size() != q.rows()) {
     throw std::invalid_argument("orthogonalize: v size must equal basis rows");
   }
   for (std::size_t i = 0; i < k; ++i) h[i] = S(0);
-  switch (kind) {
-    case Orthogonalization::MGS:
-      mgs_pass_fused(q, k, v, h, hook, ctx);
-      break;
-    case Orthogonalization::CGS:
-      cgs_pass_fused(q, k, v, h, hook, ctx);
-      break;
-    case Orthogonalization::CGS2:
-      cgs_pass_fused(q, k, v, h, hook, ctx);
-      cgs_pass_fused(q, k, v, h, /*hook=*/nullptr, ctx);
-      break;
+  if (kind == Orthogonalization::MGS) {
+    return mgs_pass_fused(q, k, v, h, hook, ctx);
   }
+  la::OrthoNorms<S> norms;
+  norms.entry = la::nrm2(std::span<const S>(v));
+  cgs_pass_fused(q, k, v, h, hook, ctx);
+  if (kind == Orthogonalization::CGS2) {
+    cgs_pass_fused(q, k, v, h, /*hook=*/nullptr, ctx);
+  }
+  norms.exit = la::nrm2(std::span<const S>(v));
+  return norms;
 }
 
 } // namespace
@@ -161,16 +156,20 @@ void orthogonalize(Orthogonalization kind, std::span<const la::Vector> q,
   }
 }
 
-void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
-                   std::size_t k, std::span<double> v, std::span<double> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize_fused(kind, q, k, v, h, hook, ctx);
+la::OrthoNorms<double> orthogonalize(Orthogonalization kind,
+                                     const la::KrylovBasis& q, std::size_t k,
+                                     std::span<double> v, std::span<double> h,
+                                     ArnoldiHook* hook,
+                                     const ArnoldiContext& ctx) {
+  return orthogonalize_fused(kind, q, k, v, h, hook, ctx);
 }
 
-void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
-                   std::size_t k, std::span<float> v, std::span<float> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize_fused(kind, q, k, v, h, hook, ctx);
+la::OrthoNorms<float> orthogonalize(Orthogonalization kind,
+                                    const la::KrylovBasisT<float>& q,
+                                    std::size_t k, std::span<float> v,
+                                    std::span<float> h, ArnoldiHook* hook,
+                                    const ArnoldiContext& ctx) {
+  return orthogonalize_fused(kind, q, k, v, h, hook, ctx);
 }
 
 } // namespace sdcgmres::krylov

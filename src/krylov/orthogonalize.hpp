@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "krylov/hooks.hpp"
+#include "la/blas1.hpp"
 #include "la/krylov_basis.hpp"
 #include "la/vector.hpp"
 
@@ -52,27 +53,34 @@ void orthogonalize(Orthogonalization kind,
                    la::Vector& v, std::span<double> h, ArnoldiHook* hook,
                    const ArnoldiContext& ctx);
 
-/// Fused orthogonalization over a contiguous KrylovBasis.  Semantics match
-/// the reference overload:
+/// Fused orthogonalization over a contiguous KrylovBasis.  Returns ||v||
+/// on entry and on exit, so callers need no norm pass of their own: MGS
+/// folds both into its la::mgs sweeps, CGS and CGS2 run la::nrm2 before
+/// and after their passes.  Each returned norm is bitwise equal to
+/// la::nrm2 of v at that point.  Semantics match the reference overload:
 ///   - the hook fires once per first-pass coefficient with the same
 ///     (i, mgs_steps) sequence, each coefficient computed from the same
 ///     operands, and hook mutations are applied identically;
 ///   - MGS hook values are bitwise identical to the reference path at
-///     every size and thread count (la::dot_axpy and la::dot share one
+///     every size and thread count (la::mgs and la::dot share one
 ///     fixed-partition sum); CGS/CGS2 values (one gemv_t, each column
 ///     summed sequentially) are bitwise identical while la::dot runs its
 ///     plain sequential loop (up to 4096 rows) and agree to roundoff above;
 ///   - every result is bitwise independent of the OpenMP thread count;
 ///   - CGS2's second-pass corrections remain silent.
 /// The kernels differ: CGS/CGS2 projections run as one gemv_t + one gemv
-/// over the basis block, and MGS streams each column through the fused
-/// la::dot_axpy kernel.  The CORRECTION rounding can also differ from the
-/// reference (blocked column combination), i.e. v agrees to roundoff.
+/// over the basis block, and MGS runs as one pipelined la::mgs pass that
+/// streams each column once per coefficient (4k+1 length-n words for k
+/// columns, norms included).  The CGS/CGS2 CORRECTION rounding can also
+/// differ from the reference (blocked column combination), i.e. v agrees
+/// to roundoff; MGS v is bitwise equal.
 /// \p v is a span so callers can orthogonalize in place inside an arena
 /// column (s-step mode) or a bound staging block (lockstep batch driver).
-void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
-                   std::size_t k, std::span<double> v, std::span<double> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx);
+la::OrthoNorms<double> orthogonalize(Orthogonalization kind,
+                                     const la::KrylovBasis& q, std::size_t k,
+                                     std::span<double> v, std::span<double> h,
+                                     ArnoldiHook* hook,
+                                     const ArnoldiContext& ctx);
 
 /// Float instantiation of the same template, for the mixed-precision inner
 /// engine: all kernels run in float, and since the ArnoldiHook protocol is
@@ -80,23 +88,31 @@ void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
 /// the (possibly mutated) value narrowed back before it is applied --
 /// injected faults land in the float data plane exactly where they land in
 /// the double one.
-void orthogonalize(Orthogonalization kind, const la::KrylovBasisT<float>& q,
-                   std::size_t k, std::span<float> v, std::span<float> h,
-                   ArnoldiHook* hook, const ArnoldiContext& ctx);
+la::OrthoNorms<float> orthogonalize(Orthogonalization kind,
+                                    const la::KrylovBasisT<float>& q,
+                                    std::size_t k, std::span<float> v,
+                                    std::span<float> h, ArnoldiHook* hook,
+                                    const ArnoldiContext& ctx);
 
 /// Convenience wrapper for owning-vector callers.
-inline void orthogonalize(Orthogonalization kind, const la::KrylovBasis& q,
-                          std::size_t k, la::Vector& v, std::span<double> h,
-                          ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize(kind, q, k, v.span(), h, hook, ctx);
+inline la::OrthoNorms<double> orthogonalize(Orthogonalization kind,
+                                            const la::KrylovBasis& q,
+                                            std::size_t k, la::Vector& v,
+                                            std::span<double> h,
+                                            ArnoldiHook* hook,
+                                            const ArnoldiContext& ctx) {
+  return orthogonalize(kind, q, k, v.span(), h, hook, ctx);
 }
 
 /// Convenience wrapper for owning-vector callers.
-inline void orthogonalize(Orthogonalization kind,
-                          const la::KrylovBasisT<float>& q, std::size_t k,
-                          la::VectorT<float>& v, std::span<float> h,
-                          ArnoldiHook* hook, const ArnoldiContext& ctx) {
-  orthogonalize(kind, q, k, v.span(), h, hook, ctx);
+inline la::OrthoNorms<float> orthogonalize(Orthogonalization kind,
+                                           const la::KrylovBasisT<float>& q,
+                                           std::size_t k,
+                                           la::VectorT<float>& v,
+                                           std::span<float> h,
+                                           ArnoldiHook* hook,
+                                           const ArnoldiContext& ctx) {
+  return orthogonalize(kind, q, k, v.span(), h, hook, ctx);
 }
 
 } // namespace sdcgmres::krylov

@@ -6,12 +6,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "la/krylov_basis.hpp"
+
 namespace sdcgmres::la {
 
 namespace {
 
-/// Kernels up to this length run serially (no parallel region): the plain
-/// sequential loop.
+/// Kernels up to this length run serially behind a plain branch (no
+/// parallel region, not even an if(false) one): the plain sequential loop.
 constexpr std::size_t kSerialMax = 4096;
 
 /// Cap on the number of partial sums of a fixed-partition reduction; the
@@ -85,38 +87,48 @@ S dot_impl(std::span<const S> x, std::span<const S> y) {
   });
 }
 
+/// Runs body(i) for every i in [0, n): the plain loop up to kSerialMax,
+/// behind an ordinary branch so that small vectors never enter an OpenMP
+/// region; a static OpenMP loop above.  Element-wise kernels only.
+template <typename Body>
+void for_each_entry(std::size_t n, const Body& body) {
+  if (n <= kSerialMax) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  const auto len = static_cast<std::int64_t>(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < len; ++i) body(static_cast<std::size_t>(i));
+}
+
 template <typename S>
 void axpy_impl(S alpha, std::span<const S> x, std::span<S> y) {
   require_same_size(x, std::span<const S>(y), "axpy");
-  const auto n = static_cast<std::int64_t>(x.size());
   const S* px = x.data();
   S* py = y.data();
-#pragma omp parallel for schedule(static) if (x.size() > kSerialMax)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] += alpha * px[i];
-  }
+  for_each_entry(x.size(), [=](std::size_t i) { py[i] += alpha * px[i]; });
 }
 
 template <typename S>
 void scal_impl(S alpha, std::span<S> x) {
-  const auto n = static_cast<std::int64_t>(x.size());
   S* px = x.data();
-#pragma omp parallel for schedule(static) if (x.size() > kSerialMax)
-  for (std::int64_t i = 0; i < n; ++i) {
-    px[i] *= alpha;
-  }
+  for_each_entry(x.size(), [=](std::size_t i) { px[i] *= alpha; });
+}
+
+template <typename S>
+void scal_into_impl(S alpha, std::span<const S> x, std::span<S> y) {
+  require_same_size(x, std::span<const S>(y), "scal");
+  const S* px = x.data();
+  S* py = y.data();
+  for_each_entry(x.size(), [=](std::size_t i) { py[i] = px[i] * alpha; });
 }
 
 template <typename S>
 void copy_impl(std::span<const S> x, std::span<S> y) {
   require_same_size(x, std::span<const S>(y), "copy");
-  const auto n = static_cast<std::int64_t>(x.size());
   const S* px = x.data();
   S* py = y.data();
-#pragma omp parallel for schedule(static) if (x.size() > kSerialMax)
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] = px[i];
-  }
+  for_each_entry(x.size(), [=](std::size_t i) { py[i] = px[i]; });
 }
 
 template <typename S>
@@ -124,14 +136,12 @@ void waxpby_impl(S alpha, std::span<const S> x, S beta,
                  std::span<const S> y, std::span<S> w) {
   require_same_size(x, y, "waxpby");
   require_same_size(x, std::span<const S>(w), "waxpby");
-  const auto n = static_cast<std::int64_t>(x.size());
   const S* px = x.data();
   const S* py = y.data();
   S* pw = w.data();
-#pragma omp parallel for schedule(static) if (x.size() > kSerialMax)
-  for (std::int64_t i = 0; i < n; ++i) {
+  for_each_entry(x.size(), [=](std::size_t i) {
     pw[i] = alpha * px[i] + beta * py[i];
-  }
+  });
 }
 
 template <typename S>
@@ -146,54 +156,139 @@ std::size_t count_nonfinite_impl(std::span<const S> x) {
   });
 }
 
+// --- mgs(): the pipelined MGS pass ------------------------------------------
+//
+// The three block bodies of one pass.  Each sums [i0, i1) sequentially in
+// entry order with the same expressions as dot_impl and axpy_impl, so a
+// block partial here is bitwise equal to the partial dot() forms over the
+// same (corrected) entries.
+
+/// Sweep 0: q.v and v.v over one block.
 template <typename S>
-S dot_axpy_impl(std::span<const S> x, std::span<S> y,
-                const std::function<void(S&)>* adjust) {
-  require_same_size(x, std::span<const S>(y), "dot_axpy");
-  const S* px = x.data();
-  S* py = y.data();
-  const auto dot_block = [=](std::size_t i0, std::size_t i1) {
-    S sum = S(0);
-    for (std::size_t i = i0; i < i1; ++i) sum += px[i] * py[i];
-    return sum;
-  };
-  const auto axpy_block = [=](S h, std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) py[i] -= h * px[i];
-  };
-  if (x.size() <= kSerialMax) {
-    S h = dot_block(0, x.size());
-    if (adjust != nullptr) (*adjust)(h);
-    axpy_block(h, 0, x.size());
-    return h;
+void first_sweep(const S* q, const S* v, std::size_t i0, std::size_t i1,
+                 S& qv, S& vv) {
+  S sq = S(0);
+  S sv = S(0);
+  for (std::size_t i = i0; i < i1; ++i) {
+    sq += q[i] * v[i];
+    sv += v[i] * v[i];
   }
-  // fixed_sum's partition and combine, split so that the hook runs between
-  // the dot and the correction inside one parallel region.
-  const Partition part(x.size());
-  S partials[kMaxBlocks];
-  S h = S(0);
+  qv = sq;
+  vv = sv;
+}
+
+/// Sweep i < k: v -= c*q_prev, then q_next.v over the corrected entries.
+template <typename S>
+S correct_then_dot(S c, const S* q_prev, const S* q_next, S* v,
+                   std::size_t i0, std::size_t i1) {
+  S sum = S(0);
+  for (std::size_t i = i0; i < i1; ++i) {
+    v[i] -= c * q_prev[i];
+    sum += q_next[i] * v[i];
+  }
+  return sum;
+}
+
+/// Sweep k: v -= c*q_last, then v.v over the corrected entries.
+template <typename S>
+S correct_then_norm(S c, const S* q_last, S* v, std::size_t i0,
+                    std::size_t i1) {
+  S sum = S(0);
+  for (std::size_t i = i0; i < i1; ++i) {
+    v[i] -= c * q_last[i];
+    sum += v[i] * v[i];
+  }
+  return sum;
+}
+
+template <typename S>
+OrthoNorms<S> mgs_impl(const BasisViewT<S>& q, std::span<S> v,
+                       std::span<S> h, CoefficientHook<S> hook) {
+  const std::size_t n = v.size();
+  const std::size_t k = q.cols();
+  if (q.rows() != n) {
+    throw std::invalid_argument("la::mgs: v size must equal basis rows");
+  }
+  if (h.size() < k) {
+    throw std::invalid_argument("la::mgs: coefficient span too small");
+  }
+  if (k == 0) {
+    const S norm = nrm2(std::span<const S>(v));
+    return {norm, norm};
+  }
+  S* pv = v.data();
+  const auto col = [&](std::size_t i) { return q.col(i).data(); };
+  // Between sweeps: the hook sees (and may mutate) the reduced
+  // coefficient, h records it, and the next sweep applies it.
+  const auto settle = [&](std::size_t i, S& c) {
+    if (hook) hook(i, c);
+    h[i] += c;
+  };
+
+  OrthoNorms<S> norms;
+  if (n <= kSerialMax) {
+    S c = S(0);
+    S vv = S(0);
+    first_sweep(col(0), pv, 0, n, c, vv);
+    norms.entry = std::sqrt(vv);
+    for (std::size_t i = 0; i < k; ++i) {
+      settle(i, c);
+      if (i + 1 < k) {
+        c = correct_then_dot(c, col(i), col(i + 1), pv, 0, n);
+      } else {
+        norms.exit = std::sqrt(correct_then_norm(c, col(i), pv, 0, n));
+      }
+    }
+    return norms;
+  }
+
+  // fixed_sum's partition and combine, split so that one parallel region
+  // runs every sweep and the coefficient protocol runs between them.  The
+  // same static schedule hands each thread the same blocks in every sweep.
+  const Partition part(n);
+  S dots[kMaxBlocks];
+  S selfs[kMaxBlocks];
+  S c = S(0);
 #pragma omp parallel default(shared)
   {
 #pragma omp for schedule(static)
     for (std::int64_t b = 0; b < part.count; ++b) {
-      partials[b] = dot_block(part.begin(b), part.end(b));
+      first_sweep(col(0), pv, part.begin(b), part.end(b), dots[b], selfs[b]);
     }
-    // The partials are complete at the barrier above; the hook point runs
-    // exactly once, between the dot and the correction, and may mutate h.
 #pragma omp single
     {
-      h = combine(partials, part.count);
-      if (adjust != nullptr) (*adjust)(h);
+      norms.entry = std::sqrt(combine(selfs, part.count));
+      c = combine(dots, part.count);
+      settle(0, c);
     }
-    // Private copy: h is shared in the outlined region, and a shared
-    // variable read inside the loop defeats register allocation.  The same
-    // static block schedule hands each thread the blocks it just read.
-    const S hh = h;
+    for (std::size_t i = 0; i < k; ++i) {
+      // Private copy of the settled coefficient: every thread reads it
+      // after the single's barrier, and the loop below ends in a barrier
+      // before the next single overwrites it.
+      const S ci = c;
+      if (i + 1 < k) {
 #pragma omp for schedule(static)
-    for (std::int64_t b = 0; b < part.count; ++b) {
-      axpy_block(hh, part.begin(b), part.end(b));
+        for (std::int64_t b = 0; b < part.count; ++b) {
+          dots[b] = correct_then_dot(ci, col(i), col(i + 1), pv,
+                                     part.begin(b), part.end(b));
+        }
+#pragma omp single
+        {
+          c = combine(dots, part.count);
+          settle(i + 1, c);
+        }
+      } else {
+#pragma omp for schedule(static)
+        for (std::int64_t b = 0; b < part.count; ++b) {
+          selfs[b] = correct_then_norm(ci, col(i), pv, part.begin(b),
+                                       part.end(b));
+        }
+#pragma omp single
+        norms.exit = std::sqrt(combine(selfs, part.count));
+      }
     }
   }
-  return h;
+  return norms;
 }
 
 } // namespace
@@ -218,6 +313,13 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
 void scal(double alpha, std::span<double> x) { scal_impl(alpha, x); }
 void scal(float alpha, std::span<float> x) { scal_impl(alpha, x); }
 
+void scal(double alpha, std::span<const double> x, std::span<double> y) {
+  scal_into_impl(alpha, x, y);
+}
+void scal(float alpha, std::span<const float> x, std::span<float> y) {
+  scal_into_impl(alpha, x, y);
+}
+
 void copy(std::span<const double> x, std::span<double> y) { copy_impl(x, y); }
 void copy(std::span<const float> x, std::span<float> y) { copy_impl(x, y); }
 
@@ -234,14 +336,10 @@ void hadamard(std::span<const double> x, std::span<const double> y,
               std::span<double> z) {
   require_same_size(x, y, "hadamard");
   require_same_size(x, std::span<const double>(z), "hadamard");
-  const auto n = static_cast<std::int64_t>(x.size());
   const double* px = x.data();
   const double* py = y.data();
   double* pz = z.data();
-#pragma omp parallel for schedule(static) if (x.size() > kSerialMax)
-  for (std::int64_t i = 0; i < n; ++i) {
-    pz[i] = px[i] * py[i];
-  }
+  for_each_entry(x.size(), [=](std::size_t i) { pz[i] = px[i] * py[i]; });
 }
 
 bool all_finite(std::span<const double> x) { return count_nonfinite(x) == 0; }
@@ -254,20 +352,13 @@ std::size_t count_nonfinite(std::span<const float> x) {
   return count_nonfinite_impl(x);
 }
 
-double dot_axpy(std::span<const double> x, std::span<double> y) {
-  return dot_axpy_impl<double>(x, y, nullptr);
+OrthoNorms<double> mgs(const BasisViewT<double>& q, std::span<double> v,
+                       std::span<double> h, CoefficientHook<double> hook) {
+  return mgs_impl(q, v, h, hook);
 }
-float dot_axpy(std::span<const float> x, std::span<float> y) {
-  return dot_axpy_impl<float>(x, y, nullptr);
-}
-
-double dot_axpy(std::span<const double> x, std::span<double> y,
-                const std::function<void(double&)>& adjust) {
-  return dot_axpy_impl(x, y, &adjust);
-}
-float dot_axpy(std::span<const float> x, std::span<float> y,
-               const std::function<void(float&)>& adjust) {
-  return dot_axpy_impl(x, y, &adjust);
+OrthoNorms<float> mgs(const BasisViewT<float>& q, std::span<float> v,
+                      std::span<float> h, CoefficientHook<float> hook) {
+  return mgs_impl(q, v, h, hook);
 }
 
 // --- la::Vector overloads ---------------------------------------------------

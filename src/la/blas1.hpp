@@ -15,22 +15,29 @@
 /// span<T> -> span<const T> conversions keep working at call sites; float
 /// overloads do all their arithmetic, reductions included, in float.
 ///
-/// Reductions are deterministic: every floating-point sum (dot, nrm2,
-/// dot_axpy) and the non-finite counter run through one fixed-partition
-/// sum.  Up to 4096 entries it is the plain sequential loop.  Above that
-/// the vector is cut into blocks whose size depends only on its length
-/// (at most 256 blocks), each block is summed sequentially, and the block
-/// partials are combined serially in a fixed pairwise order.  Results are
-/// therefore bitwise identical at every OpenMP thread count, and the
-/// span, Vector, fused and unfused entry points all agree bitwise.
+/// Reductions are deterministic: every floating-point sum (dot, nrm2, the
+/// mgs() coefficients and norms) and the non-finite counter run through
+/// one fixed-partition sum.  Up to 4096 entries it is the plain sequential
+/// loop.  Above that the vector is cut into blocks whose size depends only
+/// on its length (at most 256 blocks), each block is summed sequentially,
+/// and the block partials are combined serially in a fixed pairwise order.
+/// Results are therefore bitwise identical at every OpenMP thread count,
+/// and the span, Vector and fused entry points all agree bitwise.
+///
+/// Up to 4096 entries every kernel is a plain serial loop behind an
+/// ordinary branch, so small solves enter no OpenMP region at all.  The
+/// span kernels never allocate.
 
 #include <cstddef>
-#include <functional>
 #include <span>
+#include <type_traits>
 
 #include "la/vector.hpp"
 
 namespace sdcgmres::la {
+
+template <typename S>
+class BasisViewT;
 
 // --- Span kernels -----------------------------------------------------------
 //
@@ -55,6 +62,11 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 void scal(double alpha, std::span<double> x);
 void scal(float alpha, std::span<float> x);
 
+/// y := alpha*x (sizes must match): the out-of-place scal, one read of x
+/// and one write of y.  Each entry is the same product scal() forms.
+void scal(double alpha, std::span<const double> x, std::span<double> y);
+void scal(float alpha, std::span<const float> x, std::span<float> y);
+
 /// y := x (sizes must match).
 void copy(std::span<const double> x, std::span<double> y);
 void copy(std::span<const float> x, std::span<float> y);
@@ -77,25 +89,63 @@ void hadamard(std::span<const double> x, std::span<const double> y,
 [[nodiscard]] std::size_t count_nonfinite(std::span<const double> x);
 [[nodiscard]] std::size_t count_nonfinite(std::span<const float> x);
 
-/// Fused MGS step: computes h = x.y, then y := y - h*x, in one kernel
-/// (single parallel region; one fork/join instead of two, and each block
-/// of x is hot in cache for its correction).  The dot runs the same fixed
-/// partition as dot(), so the returned coefficient and the updated y are
-/// bitwise identical to the unfused dot + axpy sequence at every size and
-/// thread count.  Returns h.
-double dot_axpy(std::span<const double> x, std::span<double> y);
-float dot_axpy(std::span<const float> x, std::span<float> y);
+/// Norms of the vector an orthogonalization pass works on: ||v|| on entry
+/// and on exit.
+template <typename S>
+struct OrthoNorms {
+  S entry = S(0);
+  S exit = S(0);
+};
 
-/// Instrumented variant: \p adjust runs once with the freshly computed
-/// coefficient BEFORE it is applied to y, and may mutate it; the mutated
-/// value is what gets subtracted (and returned).  This is the projection-
-/// coefficient hook point of the Arnoldi process (SDC injection/detection
-/// site), preserved inside the fused kernel.  The float hook sees the float
-/// coefficient (callers widen for double-typed hook protocols).
-double dot_axpy(std::span<const double> x, std::span<double> y,
-                const std::function<void(double&)>& adjust);
-float dot_axpy(std::span<const float> x, std::span<float> y,
-               const std::function<void(float&)>& adjust);
+/// Non-owning reference to the projection-coefficient callback of mgs():
+/// called as fn(i, coeff) once per basis column, in order, with the freshly
+/// reduced coefficient q_i.v before it is applied; it may mutate coeff.  A
+/// default-constructed reference means "no callback".  It never allocates,
+/// and the callable must outlive the mgs() call.
+template <typename S>
+class CoefficientHook {
+public:
+  CoefficientHook() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cv_t<F>, CoefficientHook>)
+  CoefficientHook(F& fn) noexcept
+      : obj_(&fn), call_([](void* obj, std::size_t i, S& coeff) {
+          (*static_cast<F*>(obj))(i, coeff);
+        }) {}
+
+  explicit operator bool() const noexcept { return call_ != nullptr; }
+  void operator()(std::size_t i, S& coeff) const { call_(obj_, i, coeff); }
+
+private:
+  void* obj_ = nullptr;
+  void (*call_)(void*, std::size_t, S&) = nullptr;
+};
+
+/// Modified Gram-Schmidt of v against the q.cols() columns of \p q, in
+/// place, with both norms of v folded into the same sweeps.  Adds each
+/// applied coefficient into h[i] (h.size() >= q.cols()) and returns
+/// ||v|| on entry and on exit.
+///
+/// One pass is q.cols()+1 sweeps over v.  Sweep 0 reduces q_0.v and v.v;
+/// sweep i applies v -= h_{i-1} q_{i-1} block by block and, in the same
+/// block loop, reduces q_i.v over the corrected entries (v.v in the last
+/// sweep).  Between sweeps the partials are combined and \p hook fires.
+/// That is 4k+1 length-n words for k columns, against 5k+2 for k separate
+/// dot + axpy kernels plus the two norms.  Every block is summed
+/// sequentially in entry order over the same corrected values, with the
+/// same partition and combine tree as dot(), so the coefficients, v and
+/// both norms are bitwise equal to the unfused sequence
+///   entry = nrm2(v); for each i { c = dot(q_i, v); hook(i, c);
+///                                 h[i] += c; axpy(-c, q_i, v); }
+///   exit = nrm2(v)
+/// at every size and thread count.  Above 4096 rows the whole pass is one
+/// parallel region and the hook runs inside it, on one thread (it must
+/// not throw).  Throws std::invalid_argument on a shape mismatch.
+OrthoNorms<double> mgs(const BasisViewT<double>& q, std::span<double> v,
+                       std::span<double> h,
+                       CoefficientHook<double> hook = {});
+OrthoNorms<float> mgs(const BasisViewT<float>& q, std::span<float> v,
+                      std::span<float> h, CoefficientHook<float> hook = {});
 
 // --- la::Vector overloads ---------------------------------------------------
 //

@@ -11,7 +11,8 @@
 /// rows, so that
 ///   - the CGS/CGS2 projection is a single gemv_t over the block,
 ///   - the correction is a single gemv,
-///   - MGS streams each column once through the fused la::dot_axpy kernel,
+///   - MGS is one la::mgs pass that streams each column once per
+///     coefficient, with the norms of v folded into the same sweeps,
 /// exactly as production Krylov codes (Trilinos/Belos-style blocked CGS2)
 /// arrange it.  Columns are exposed as std::span views, which all blas1/2
 /// kernels accept.
@@ -23,6 +24,11 @@
 /// The capacity is fixed at construction: growing would reallocate and
 /// silently invalidate column spans held by callers (solvers always know
 /// their restart length up front).  append() past capacity throws.
+///
+/// clear() and pop_back() are O(1): storage past cols() is unspecified,
+/// and every append writes its whole column (append() zeroes it,
+/// append(v) copies v, append(v, scale) writes scale*v), so a restart
+/// costs nothing however many columns the cycle used.
 
 #include <algorithm>
 #include <cstddef>
@@ -30,6 +36,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "la/blas1.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/vector.hpp"
 
@@ -110,45 +117,36 @@ public:
   /// Append a zero column and return a mutable view of it.  Throws
   /// std::length_error when the arena is full.
   std::span<S> append() {
-    if (cols_ == capacity_) {
-      throw std::length_error(
-          "KrylovBasis::append: arena full (growing would invalidate "
-          "outstanding column views)");
-    }
-    ++cols_;
-    return col(cols_ - 1);
+    std::span<S> dst = grow();
+    std::fill(dst.begin(), dst.end(), S(0));
+    return dst;
   }
 
   /// Append a copy of \p v (length must equal rows()).
   void append(std::span<const S> v) {
-    if (v.size() != rows_) {
-      throw std::invalid_argument(
-          "KrylovBasis::append: column length mismatch");
-    }
-    std::span<S> dst = append();
+    check_length(v);
+    std::span<S> dst = grow();
     std::copy(v.begin(), v.end(), dst.begin());
   }
   void append(const VectorT<S>& v) { append(v.span()); }
 
-  /// Drop the last column (its storage is re-zeroed so a later append()
-  /// starts clean).  Throws std::out_of_range when empty.
+  /// Append scale*v in one pass (length must equal rows()): bitwise equal
+  /// to append(v) followed by la::scal(scale, column), at half the traffic.
+  void append(std::span<const S> v, S scale) {
+    check_length(v);
+    la::scal(scale, v, grow());
+  }
+
+  /// Drop the last column.  Throws std::out_of_range when empty.
   void pop_back() {
     if (cols_ == 0) {
       throw std::out_of_range("KrylovBasis::pop_back: basis is empty");
     }
-    std::span<S> last = col(cols_ - 1);
-    std::fill(last.begin(), last.end(), S(0));
     --cols_;
   }
 
   /// Drop all columns; the arena stays allocated.
-  void clear() {
-    for (std::size_t j = 0; j < cols_; ++j) {
-      std::span<S> c = col(j);
-      std::fill(c.begin(), c.end(), S(0));
-    }
-    cols_ = 0;
-  }
+  void clear() noexcept { cols_ = 0; }
 
   /// Column \p j as a span (no bounds check beyond debug assertions).
   [[nodiscard]] std::span<S> col(std::size_t j) noexcept {
@@ -196,6 +194,24 @@ public:
   }
 
 private:
+  /// The next column, unwritten.
+  std::span<S> grow() {
+    if (cols_ == capacity_) {
+      throw std::length_error(
+          "KrylovBasis::append: arena full (growing would invalidate "
+          "outstanding column views)");
+    }
+    ++cols_;
+    return col(cols_ - 1);
+  }
+
+  void check_length(std::span<const S> v) const {
+    if (v.size() != rows_) {
+      throw std::invalid_argument(
+          "KrylovBasis::append: column length mismatch");
+    }
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t capacity_ = 0;

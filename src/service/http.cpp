@@ -3,11 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
@@ -52,6 +54,28 @@ bool send_all(int fd, const std::string& data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// recv() that gives up at \p deadline: before every call SO_RCVTIMEO is
+/// set to the time remaining, so a client trickling bytes cannot stretch
+/// the connection past it.  Returns the byte count, or 0 when the client
+/// hung up, the deadline passed or the socket failed.
+ssize_t recv_before(int fd, char* buf, std::size_t len,
+                    std::chrono::steady_clock::time_point deadline) {
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return 0; // (a zero timeval would never expire)
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(left.count() / 1000000);
+    tv.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+      return 0;
+    }
+    const ssize_t n = ::recv(fd, buf, len, 0);
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 ? 0 : n; // EAGAIN/EWOULDBLOCK: the deadline passed
+  }
 }
 
 /// Cap on a request head and on a request body, each.
@@ -162,16 +186,16 @@ void HttpServer::serve() {
 }
 
 void HttpServer::handle_connection(int fd) {
+  // One total receive deadline per connection: an idle or trickling
+  // client is dropped instead of stalling every request queued behind it.
+  const auto deadline = std::chrono::steady_clock::now() + kReceiveDeadline;
   std::string data;
   char buf[4096];
   std::size_t header_end = std::string::npos;
   // Read the request head first...
   while (header_end == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return; // client hung up mid-request
-    }
+    const ssize_t n = recv_before(fd, buf, sizeof(buf), deadline);
+    if (n == 0) return; // client hung up or ran out of time mid-request
     data.append(buf, static_cast<std::size_t>(n));
     header_end = data.find("\r\n\r\n");
     if (data.size() > kMaxMessage) return; // refuse unbounded heads
@@ -185,11 +209,8 @@ void HttpServer::handle_connection(int fd) {
   // length is refused.
   const BodyLength body = content_length(headers);
   while (body.refuse == 0 && data.size() - body_start < body.bytes) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;
-    }
+    const ssize_t n = recv_before(fd, buf, sizeof(buf), deadline);
+    if (n == 0) return;
     data.append(buf, static_cast<std::size_t>(n));
   }
 

@@ -7,10 +7,14 @@
 /// (Connection: close).  Requests are handled serially on the accept
 /// thread -- every handler in sdc_serve is a quick spool/journal read or
 /// an enqueue; the solves themselves run on the scheduler's workers, so
-/// a slow sweep never blocks the status endpoint.  No external
-/// dependencies, IPv4 loopback by default.
+/// a slow sweep never blocks the status endpoint.  A connection that has
+/// not delivered its whole request within kReceiveDeadline is closed
+/// unanswered, so an idle or trickling client delays the requests behind
+/// it by at most that long.  No external dependencies, IPv4 loopback by
+/// default.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -33,6 +37,10 @@ struct HttpResponse {
 class HttpServer {
 public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
+
+  /// Total time a connection gets, from accept, to deliver its request
+  /// head and body.
+  static constexpr std::chrono::milliseconds kReceiveDeadline{2000};
 
   /// Bind + listen on 127.0.0.1:\p port (0 = kernel-assigned ephemeral
   /// port, read it back via port()).  Throws std::runtime_error on

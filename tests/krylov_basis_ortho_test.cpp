@@ -8,7 +8,7 @@
 /// (i, mgs_steps, value) sequences.  The parity cases stay at n <= 4096,
 /// where la::dot runs its plain sequential loop and every kind (MGS, CGS,
 /// CGS2) matches exactly.  Above that, la::dot sums a fixed block
-/// partition that depends only on n: the fused MGS kernel (la::dot_axpy)
+/// partition that depends only on n: the pipelined MGS kernel (la::mgs)
 /// shares it, so MGS stays bitwise identical at every size and OpenMP
 /// thread count (the Arnoldi case below runs n = 6400 at 4 threads), while
 /// CGS's gemv_t sums each column sequentially and agrees with the

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "gen/convection_diffusion.hpp"
 #include "gen/poisson.hpp"
 #include "gen/random_sparse.hpp"
 #include "krylov/gmres.hpp"
+#include "krylov/mixed.hpp"
 #include "la/blas1.hpp"
 
 namespace krylov = sdcgmres::krylov;
@@ -340,4 +343,102 @@ TEST(GmresEngine, OperatorApplyCountMatchesConsumedProducts) {
   EXPECT_EQ(op.stats().apply_calls, stats.operator_applies);
   EXPECT_EQ(op.stats().apply_block_calls, 0u);
   EXPECT_EQ(op.stats().columns(), stats.operator_applies);
+}
+
+// --- Basis traffic (GmresStats::basis_bytes) --------------------------------
+
+namespace {
+
+/// Length-n words of one blocked projection pass over k columns: gemv_t
+/// reads every column and v once per four-column group (each tail column
+/// re-reads v); gemv reads every column and reads and writes v once.
+std::size_t projection_words(std::size_t k) {
+  return (k + k / 4 + k % 4) + (k + 2);
+}
+
+/// Length-n words of one orthogonalization against k columns, the entry
+/// and exit norms of v included.
+std::size_t ortho_words(krylov::Orthogonalization kind, std::size_t k) {
+  switch (kind) {
+    case krylov::Orthogonalization::MGS:
+      // la::mgs: 2 words in sweep 0, 4 in sweeps 1..k-1, 3 in sweep k.
+      return 2 + 4 * (k - 1) + 3;
+    case krylov::Orthogonalization::CGS:
+      return projection_words(k) + 2;
+    case krylov::Orthogonalization::CGS2:
+      return 2 * projection_words(k) + 2;
+  }
+  return 0;
+}
+
+/// Fixed-iteration solve (tol = 0) of A x = 1 on the plane of A.
+template <typename S>
+krylov::GmresStats fixed_solve(const krylov::OperatorT<S>& A,
+                               const krylov::GmresOptions& opts) {
+  const std::vector<S> b(A.rows(), S(1));
+  std::vector<S> x(A.cols(), S(0));
+  krylov::KrylovWorkspaceT<S> ws;
+  krylov::GmresEngineT<S> engine(A.rows(), A.cols(), b, x, opts, nullptr, 0,
+                                 ws, nullptr);
+  krylov::drive_to_completion(A, engine);
+  return engine.stats();
+}
+
+} // namespace
+
+TEST(GmresStats, BasisBytesPinEachOrthoFormula) {
+  // 12 iterations in cycles of 5, 5 and 2: each cycle appends its
+  // normalized start vector (2 words), each iteration orthogonalizes
+  // against j+1 columns and appends the normalized result (2 words).
+  const auto A = gen::poisson2d(10);
+  const std::size_t n = A.rows();
+  const krylov::CsrOperator op(A);
+  const sdcgmres::sparse::CsrMatrixT<float, std::int32_t> Af(A);
+  const krylov::MixedCsrOperator<float, std::int32_t> op_f(Af);
+  for (const auto kind :
+       {krylov::Orthogonalization::MGS, krylov::Orthogonalization::CGS,
+        krylov::Orthogonalization::CGS2}) {
+    krylov::GmresOptions opts;
+    opts.max_iters = 12;
+    opts.restart = 5;
+    opts.tol = 0.0;
+    opts.ortho = kind;
+    std::size_t words = 0;
+    for (const std::size_t cycle : {5u, 5u, 2u}) {
+      words += 2;
+      for (std::size_t j = 0; j < cycle; ++j) {
+        words += ortho_words(kind, j + 1) + 2;
+      }
+    }
+    const krylov::GmresStats d = fixed_solve(op, opts);
+    const krylov::GmresStats f = fixed_solve(op_f, opts);
+    ASSERT_EQ(d.iterations, 12u) << krylov::to_string(kind);
+    ASSERT_EQ(f.iterations, 12u) << krylov::to_string(kind);
+    EXPECT_EQ(d.basis_bytes, words * n * sizeof(double))
+        << krylov::to_string(kind);
+    EXPECT_EQ(f.basis_bytes, words * n * sizeof(float))
+        << krylov::to_string(kind);
+  }
+}
+
+TEST(GmresStats, BasisBytesPinTheSStepBlockFormula) {
+  // s = 4, restart 8, 12 iterations: blocks of 4 powers against 1 and 5
+  // committed columns in the first cycle, one block of 4 against 1 in
+  // the second.  Each block costs one projection pass per power plus
+  // 4 words per power for its TSQR (two read-and-write sweeps).
+  const auto A = gen::poisson2d(10);
+  const std::size_t n = A.rows();
+  const krylov::CsrOperator op(A);
+  krylov::GmresOptions opts;
+  opts.max_iters = 12;
+  opts.restart = 8;
+  opts.tol = 0.0;
+  opts.s_step = 4;
+  std::size_t words = 2 * 2; // two cycle-start appends
+  for (const std::size_t k : {1u, 5u, 1u}) {
+    words += 4 * projection_words(k) + 4 * 4;
+  }
+  const krylov::GmresStats stats = fixed_solve(op, opts);
+  ASSERT_EQ(stats.iterations, 12u);
+  EXPECT_EQ(stats.basis_bytes, words * n * sizeof(double));
 }

@@ -2,8 +2,8 @@
 /// \brief Float instantiations of the BLAS-1/2 span kernels (the
 /// mixed-precision inner plane): each kernel against a plain reference
 /// loop in float, plus the structural properties the double tests pin
-/// down (fused dot_axpy == dot + axpy in serial order, hook protocol,
-/// gemv_t == per-column dots).
+/// down (la::mgs == per-column dot + hook + axpy in serial order, hook
+/// protocol, gemv_t == per-column dots).
 
 #include <gtest/gtest.h>
 
@@ -78,38 +78,50 @@ TEST(LaFloatKernels, FiniteChecks) {
   EXPECT_EQ(la::count_nonfinite(std::span<const float>(x)), 2u);
 }
 
-TEST(LaFloatKernels, DotAxpyMatchesUnfusedSequenceInSerial) {
-  // Below the parallel threshold the fused MGS step must be bitwise
-  // identical to dot() followed by axpy(-h, ...), same as the double
-  // kernel's contract.
-  const auto x = test_vec(128, 0.6f);
+TEST(LaFloatKernels, MgsMatchesUnfusedSequenceInSerial) {
+  // Below the parallel threshold the pipelined MGS pass must be bitwise
+  // identical to nrm2, then dot() followed by axpy(-h, ...) per column,
+  // then nrm2, same as the double kernel's contract.
+  la::KrylovBasisT<float> q(128, 2);
+  q.append(std::span<const float>(test_vec(128, 0.6f)));
+  q.append(std::span<const float>(test_vec(128, 0.1f)));
   auto y = test_vec(128, 1.9f);
   auto y_ref = y;
-  const float h_ref =
-      la::dot(std::span<const float>(x), std::span<const float>(y_ref));
-  la::axpy(-h_ref, std::span<const float>(x), std::span<float>(y_ref));
+  const std::span<float> r(y_ref);
+  const float entry_ref = la::nrm2(std::span<const float>(r));
+  std::vector<float> h_ref(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    h_ref[i] = la::dot(q.col(i), std::span<const float>(r));
+    la::axpy(-h_ref[i], q.col(i), r);
+  }
+  const float exit_ref = la::nrm2(std::span<const float>(r));
 
-  const float h = la::dot_axpy(std::span<const float>(x), std::span<float>(y));
+  std::vector<float> h(2, 0.0f);
+  const la::OrthoNorms<float> norms =
+      la::mgs(q.view(), std::span<float>(y), std::span<float>(h));
   EXPECT_EQ(h, h_ref);
+  EXPECT_EQ(norms.entry, entry_ref);
+  EXPECT_EQ(norms.exit, exit_ref);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_ref[i]) << i;
 }
 
-TEST(LaFloatKernels, DotAxpyHookObservesAndMutatesCoefficient) {
-  const auto x = test_vec(32, 0.8f);
+TEST(LaFloatKernels, MgsHookObservesAndMutatesCoefficient) {
+  la::KrylovBasisT<float> q(32, 1);
+  q.append(std::span<const float>(test_vec(32, 0.8f)));
   auto y = test_vec(32, 1.2f);
   auto y_ref = y;
-  const float h_clean =
-      la::dot(std::span<const float>(x), std::span<const float>(y));
+  const float h_clean = la::dot(q.col(0), std::span<const float>(y));
 
   float seen = 0.0f;
-  const float h = la::dot_axpy(
-      std::span<const float>(x), std::span<float>(y), [&](float& c) {
-        seen = c;
-        c = 2.0f * c; // the injection site: mutate before application
-      });
+  auto hook = [&](std::size_t, float& c) {
+    seen = c;
+    c = 2.0f * c; // the injection site: mutate before application
+  };
+  std::vector<float> h(1, 0.0f);
+  (void)la::mgs(q.view(), std::span<float>(y), std::span<float>(h), hook);
   EXPECT_EQ(seen, h_clean);
-  EXPECT_EQ(h, 2.0f * h_clean);
-  la::axpy(-h, std::span<const float>(x), std::span<float>(y_ref));
+  EXPECT_EQ(h[0], 2.0f * h_clean);
+  la::axpy(-h[0], q.col(0), std::span<float>(y_ref));
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_ref[i]) << i;
 }
 

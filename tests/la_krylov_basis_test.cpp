@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "la/blas1.hpp"
 #include "la/krylov_basis.hpp"
@@ -64,14 +66,49 @@ TEST(KrylovBasis, PopBackOnEmptyThrows) {
 }
 
 TEST(KrylovBasis, ClearKeepsArenaAndRezeroes) {
+  // The public contract of an O(1) clear(): no columns, the capacity kept,
+  // and the next append() hands out an all-zero column although the
+  // storage still holds the old data.
   la::KrylovBasis b(2, 2);
   b.append(la::Vector{1.0, 2.0});
   b.append(la::Vector{3.0, 4.0});
   b.clear();
   EXPECT_EQ(b.cols(), 0u);
   EXPECT_EQ(b.capacity(), 2u);
-  EXPECT_EQ(b.data()[0], 0.0);
-  EXPECT_EQ(b.data()[3], 0.0);
+  for (std::size_t j = 0; j < 2; ++j) {
+    const std::span<double> c = b.append();
+    EXPECT_EQ(c[0], 0.0) << "column " << j;
+    EXPECT_EQ(c[1], 0.0) << "column " << j;
+  }
+  EXPECT_THROW(b.append(), std::length_error);
+}
+
+TEST(KrylovBasis, ScaledAppendMatchesAppendThenScalBitwise) {
+  // Both sides of the 4096-row serial threshold, double and float.
+  for (const std::size_t n : {std::size_t{7}, std::size_t{5000}}) {
+    la::Vector v(n);
+    std::vector<float> vf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = std::sin(1.3 * static_cast<double>(i)) * 1e3;
+      vf[i] = static_cast<float>(v[i]);
+    }
+    const double scale = 1.0 / 7.0;
+    la::KrylovBasis fused(n, 1), plain(n, 1);
+    fused.append(v.span(), scale);
+    plain.append(v);
+    la::scal(scale, plain.col(0));
+    EXPECT_EQ(fused.col_copy(0), plain.col_copy(0)) << "n=" << n;
+
+    la::KrylovBasisT<float> fused_f(n, 1), plain_f(n, 1);
+    fused_f.append(std::span<const float>(vf), static_cast<float>(scale));
+    plain_f.append(std::span<const float>(vf));
+    la::scal(static_cast<float>(scale), plain_f.col(0));
+    EXPECT_EQ(fused_f.col_copy(0), plain_f.col_copy(0)) << "n=" << n;
+  }
+  la::KrylovBasis b(2, 1);
+  EXPECT_THROW(b.append(la::Vector{1.0, 2.0, 3.0}.span(), 2.0),
+               std::invalid_argument);
+  EXPECT_EQ(b.cols(), 0u);
 }
 
 TEST(KrylovBasis, ColCopyMatchesColumnView) {

@@ -7,11 +7,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "experiment/report.hpp"
 #include "service/http.hpp"
@@ -20,8 +22,10 @@ namespace service = sdcgmres::service;
 
 namespace {
 
-/// Minimal raw-socket HTTP client: one request, whole response back.
-std::string raw_request(std::uint16_t port, const std::string& request) {
+/// A socket connected to the server on \p port (the caller closes it).
+/// Its reads time out after 10 s, so a server that never answers or
+/// never hangs up fails the test instead of hanging it.
+int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -30,9 +34,14 @@ std::string raw_request(std::uint16_t port, const std::string& request) {
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  // A server that never answers fails the test instead of hanging it.
   const timeval timeout{.tv_sec = 10, .tv_usec = 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return fd;
+}
+
+/// Minimal raw-socket HTTP client: one request, whole response back.
+std::string raw_request(std::uint16_t port, const std::string& request) {
+  const int fd = connect_to(port);
   std::size_t off = 0;
   while (off < request.size()) {
     const ssize_t n =
@@ -271,4 +280,67 @@ TEST(HttpServer, StopIsIdempotentAndUnbindsThePort) {
     return service::HttpResponse{};
   });
   EXPECT_EQ(again.port(), port);
+}
+
+namespace {
+
+/// Seconds a GET /stats takes to be answered; the answer must be a 200.
+double stats_seconds_behind(std::uint16_t port) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string got = get(port, "/stats");
+  const std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(got.find("HTTP/1.1 200 OK"), std::string::npos) << got;
+  return waited.count();
+}
+
+service::HttpResponse stats_ok(const service::HttpRequest&) {
+  service::HttpResponse response;
+  response.body = "{\"ok\": true}\n";
+  return response;
+}
+
+/// The deadline plus a generous scheduling allowance.
+const double kStatsBound =
+    std::chrono::duration<double>(service::HttpServer::kReceiveDeadline)
+        .count() +
+    1.5;
+
+} // namespace
+
+TEST(HttpServer, IdleClientIsDroppedAtTheReceiveDeadline) {
+  service::HttpServer server(0, stats_ok);
+  server.start();
+  // Connected, sends nothing: the accept thread takes it first.
+  const int idle = connect_to(server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(stats_seconds_behind(server.port()), kStatsBound);
+  // The idle connection was closed unanswered.
+  char byte = 0;
+  EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);
+  ::close(idle);
+  server.stop();
+}
+
+TEST(HttpServer, TricklingClientIsDroppedAtTheTotalDeadline) {
+  service::HttpServer server(0, stats_ok);
+  server.start();
+  // One byte of a never-ending header every 100 ms: each recv returns
+  // well within any per-call timeout, so only a total deadline ends it.
+  const int slow = connect_to(server.port());
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    const std::string head = "GET /stats HTTP/1.1\r\nX-Slow: ";
+    for (std::size_t i = 0; !done; ++i) {
+      const char c = i < head.size() ? head[i] : 'x';
+      if (::send(slow, &c, 1, MSG_NOSIGNAL) != 1) break; // server hung up
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(stats_seconds_behind(server.port()), kStatsBound);
+  done = true;
+  trickle.join();
+  ::close(slow);
+  server.stop();
 }
