@@ -197,7 +197,11 @@ void write_sweep_json(std::ostream& out, const ScenarioResult& r,
       << "  \"unchanged_runs\": " << r.sweep.unchanged_runs() << ",\n"
       << "  \"failed_runs\": " << r.sweep.failed_runs() << ",\n"
       << "  \"detected_runs\": " << r.sweep.detected_runs() << ",\n"
-      // Measured operator traffic: columns is the work (identical at any
+      // Measured operator traffic, counting only what was actually
+      // streamed: every site forks from the failure-free run at its last
+      // outer boundary, so its skipped prefix costs nothing here (the
+      // points' inner_applies/global_syncs still describe each solve's
+      // full operation sequence).  columns is the work (identical at any
       // threads/batch), streams the matrix passes paid for it (divided by
       // ~batch when sites run in lockstep).
       << "  \"matrix_streams\": " << r.sweep.operator_stats.streams() << ",\n"

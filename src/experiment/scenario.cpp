@@ -41,6 +41,19 @@ std::size_t sweep_size_key(const ScenarioSpec& spec, std::string_view key,
   return value;
 }
 
+/// A relative tolerance key: >= 0 (a negative target is never met, so the
+/// solve would silently run out its budget).
+double tolerance_key(const ScenarioSpec& spec, std::string_view key,
+                     double dflt) {
+  const double value = spec.get_double(key, dflt);
+  if (value < 0.0) {
+    throw std::invalid_argument(std::string("scenario: ") + std::string(key) +
+                                "=" + spec.get(key) +
+                                " is out of range; a tolerance is >= 0");
+  }
+  return value;
+}
+
 krylov::Orthogonalization parse_ortho(const ScenarioSpec& spec,
                                       std::string_view key,
                                       krylov::Orthogonalization dflt) {
@@ -125,7 +138,7 @@ solver::Options solver_options_from_spec(const ScenarioSpec& spec) {
   solver::Options opts;
   opts.max_iters = spec.get_size("max_iters", 0);
   opts.restart = spec.get_size("restart", 0);
-  opts.tol = spec.get_double("tol", opts.tol);
+  opts.tol = tolerance_key(spec, "tol", opts.tol);
   opts.ortho = parse_ortho(spec, "ortho", opts.ortho);
   if (const std::string lsq = spec.get("lsq"); !lsq.empty()) {
     if (lsq == "standard") {
@@ -139,7 +152,7 @@ solver::Options solver_options_from_spec(const ScenarioSpec& spec) {
     }
   }
   opts.inner_iters = spec.get_size("inner", opts.inner_iters);
-  opts.inner_tol = spec.get_double("inner_tol", opts.inner_tol);
+  opts.inner_tol = tolerance_key(spec, "inner_tol", opts.inner_tol);
   opts.inner_ortho = parse_ortho(spec, "inner_ortho", opts.inner_ortho);
   opts.robust_first_inner =
       spec.get_bool("robust_first_inner", opts.robust_first_inner);

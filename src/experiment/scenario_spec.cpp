@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -157,6 +158,10 @@ double ScenarioSpec::get_double(std::string_view key, double dflt) const {
     std::size_t pos = 0;
     const double parsed = std::stod(*v, &pos);
     if (pos != v->size()) bad_value(key, *v, "a number");
+    // nan and inf parse, but no key accepts them: nan passes every range
+    // check (its comparisons are false) and inf overflows the duration
+    // casts of the deadlines.
+    if (!std::isfinite(parsed)) bad_value(key, *v, "a finite number");
     return parsed;
   } catch (const std::invalid_argument&) {
     bad_value(key, *v, "a number");

@@ -173,19 +173,80 @@ sdc::InjectionPlan sweep_plan(const SweepConfig& config, std::size_t site) {
   return plan;
 }
 
+/// The failure-free run every site forks from: the baseline, recorded at
+/// each outer boundary with the sweep's detector installed, and the number
+/// of leading boundaries a faulted solve may start from.
+struct ForkBase {
+  krylov::FtGmresTrajectory trajectory;
+  std::size_t usable = 0;
+
+  /// Where the site's solve starts: the last usable boundary before its
+  /// aggregate iteration.  Boundary 0 is a plain start from zero.
+  [[nodiscard]] krylov::FtGmresStart start_for(std::size_t site) const {
+    std::size_t k = 0;
+    while (k + 1 < usable && trajectory.hook_iterations[k + 1] <= site) ++k;
+    if (k == 0) return {};
+    return {.trajectory = &trajectory, .boundary = k};
+  }
+
+  /// The aggregate inner iterations a solve starting at \p start skips:
+  /// its fault campaign's seed.
+  [[nodiscard]] std::size_t skipped(const krylov::FtGmresStart& start) const {
+    return start.trajectory == nullptr
+               ? 0
+               : trajectory.hook_iterations[start.boundary];
+  }
+};
+
+/// Run the failure-free baseline and record \p base from it.  Up to its
+/// site, a faulted solve sees the hook events of this run, so a site may
+/// start at any boundary the run reached before its detector first fired
+/// (a boundary after that would lose the detection).  When it fired, the
+/// baseline is rerun hook-free: the baseline fields never depend on the
+/// detector.  A wall-clock deadline disables forking: that guard is per
+/// solve and not deterministic.
+krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
+                                            const la::Vector& b,
+                                            const SweepConfig& config,
+                                            ForkBase& base) {
+  if (config.solver.outer.deadline_seconds > 0.0) {
+    return run_baseline(A, b, config.solver);
+  }
+  std::unique_ptr<sdc::HessenbergBoundDetector> detector;
+  if (config.with_detector) {
+    detector = std::make_unique<sdc::HessenbergBoundDetector>(
+        config.detector_bound, config.detector_response);
+  }
+  krylov::FtGmresResult baseline;
+  run_pinned([&] {
+    baseline = krylov::ft_gmres_recorded(A, b, config.solver, detector.get(),
+                                         base.trajectory);
+  });
+  base.usable = base.trajectory.size();
+  if (detector && detector->triggered()) {
+    base.usable = std::min(base.usable,
+                           detector->log().events().front().solve_index + 1);
+    return run_baseline(A, b, config.solver);
+  }
+  return baseline;
+}
+
 /// A block of faulty solves advanced in lockstep through the worker's
 /// reusable FtGmresSolver \p ft (its internal workspace makes every block
 /// after the worker's first allocation-free): one fault campaign +
 /// detector chain per site, all sites of the block sharing each step's
 /// matrix stream.  Every site's result is bitwise identical to its block
 /// of one (asserted in tests and by sdc_run --assert-identical), so
-/// batching is purely a traffic optimization.  \p point_indices names the
-/// sweep-point slots this block solves (not necessarily contiguous: a
-/// resumed sweep blocks over the PENDING points); \p xs provides one
-/// iterate buffer per instance.  All mutable state (campaigns, detectors,
-/// event logs, solver workspace) is owned by the caller's thread.
+/// batching is purely a traffic optimization.  Each site starts at its
+/// boundary of \p base with its campaign seeded with the boundary's
+/// iteration count, which is bitwise the same solve as one from zero.
+/// \p point_indices names the sweep-point slots this block solves (not
+/// necessarily contiguous: a resumed sweep blocks over the PENDING
+/// points); \p xs provides one iterate buffer per instance.  All mutable
+/// state (campaigns, detectors, event logs, solver workspace) is owned by
+/// the caller's thread.
 void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
-               const SweepConfig& config,
+               const SweepConfig& config, const ForkBase& base,
                std::span<const std::size_t> point_indices, SweepPoint* points,
                std::vector<la::Vector>& xs) {
   const std::size_t count = point_indices.size();
@@ -196,9 +257,11 @@ void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
   std::vector<krylov::ArnoldiHook*> hooks(count);
   std::vector<std::span<const double>> bs(count);
   std::vector<std::span<double>> xspans(count);
+  std::vector<krylov::FtGmresStart> starts(count);
   for (std::size_t s = 0; s < count; ++s) {
     const std::size_t site = point_indices[s] * config.stride;
-    campaigns.emplace_back(sweep_plan(config, site));
+    starts[s] = base.start_for(site);
+    campaigns.emplace_back(sweep_plan(config, site), base.skipped(starts[s]));
     chains[s].add(&campaigns.back());
     if (config.with_detector) {
       detectors[s] = std::make_unique<sdc::HessenbergBoundDetector>(
@@ -211,7 +274,7 @@ void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
   }
 
   const std::vector<solver::SolveReport> runs =
-      ft.solve_batch(bs, xspans, hooks);
+      ft.solve_batch(bs, xspans, hooks, starts);
 
   for (std::size_t s = 0; s < count; ++s) {
     points[point_indices[s]] =
@@ -283,11 +346,13 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
       cfg.backend ? cfg.backend
                   : solver::backend_registry().make(cfg.backend_key, A);
 
-  // --- Failure-free baseline: learns the injection-site count. ---
+  // --- Failure-free baseline: learns the injection-site count and
+  // records the outer boundaries the sites fork from. ---
   const std::unique_ptr<krylov::LinearOperator> baseline_op =
       backend->make_operator(A);
+  ForkBase base;
   const krylov::FtGmresResult baseline =
-      run_baseline(*baseline_op, b, cfg.solver);
+      run_recorded_baseline(*baseline_op, b, cfg, base);
   result.baseline_outer = baseline.outer_iterations;
   result.baseline_total_inner = baseline.total_inner_iterations;
   result.baseline_converged =
@@ -439,7 +504,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
         const std::size_t count = std::min(batch, pending.size() - first);
         const std::span<const std::size_t> block(pending.data() + first,
                                                  count);
-        run_block(ft, b, cfg, block, points, xs);
+        run_block(ft, b, cfg, base, block, points, xs);
         if (writer) {
           // Serialize journal traffic; each flush is a durability point
           // (these records survive a SIGKILL of this process).

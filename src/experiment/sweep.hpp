@@ -7,6 +7,20 @@
 /// iterations); then re-solve the same system once per site, injecting a
 /// single fault at that aggregate inner iteration, and record the outer
 /// iterations to convergence.  Figures 3 and 4 plot exactly these series.
+///
+/// Up to its site, every faulted solve computes exactly the failure-free
+/// trajectory, and the deterministic kernels make that prefix bitwise
+/// reproducible.  So the baseline runs once with the sweep's detector
+/// installed and is recorded at every outer-iteration boundary
+/// (krylov::ft_gmres_recorded), and each site's solve forks from the last
+/// boundary before its aggregate iteration instead of starting from
+/// x0 = 0: the basis, direction and Hessenberg prefix are copied and
+/// replayed, the inner records prefilled, and the fault campaign seeded
+/// with the prefix's iteration count.  Every SweepPoint is bitwise the
+/// point of a solve from zero.  The fork is limited to the boundaries
+/// before the detector first fires in the failure-free run, and a
+/// wall-clock deadline (deadline_seconds > 0, a per-solve guard that is
+/// not deterministic) disables it.
 
 #include <cstddef>
 #include <functional>
@@ -168,12 +182,15 @@ struct SweepResult {
   std::vector<SweepPoint> points;
 
   /// Measured operator traffic of the per-site solves (baseline
-  /// excluded), summed over the sweep workers' operators.  columns() is
-  /// mode-independent (same work at any threads/batch); streams() is
-  /// NOT -- lockstep batching divides it by ~batch, which is exactly the
-  /// number this field exists to show -- so operator_stats is not part
-  /// of the sweep determinism contract and the identity assertions
-  /// compare points and baseline fields only.
+  /// excluded), summed over the sweep workers' operators.  It counts only
+  /// what was actually streamed: a site forked from the failure-free run
+  /// pays nothing for its skipped prefix, while the points'
+  /// inner_applies and global_syncs still describe each solve's full
+  /// operation sequence.  columns() is mode-independent (same work
+  /// at any threads/batch); streams() is NOT -- lockstep batching divides
+  /// it by ~batch, which is exactly the number this field exists to show
+  /// -- so operator_stats is not part of the sweep determinism contract
+  /// and the identity assertions compare points and baseline fields only.
   krylov::OperatorStats operator_stats;
 
   /// Sum of the points' inner_applies: operand columns consumed by the
@@ -219,7 +236,8 @@ void validate_sweep_config(const SweepConfig& config);
 /// Run the failure-free baseline followed by one faulty solve per
 /// injection site.  \p b is the right-hand side; the initial guess is zero
 /// for every run (paper: "same matrix, right-hand side, and initial
-/// guess").  Throws std::invalid_argument when validate_sweep_config
+/// guess"), and each faulty solve forks from the recorded baseline at its
+/// last outer boundary, which yields the same point.  Throws std::invalid_argument when validate_sweep_config
 /// rejects \p config or when the site_limit/stride combination selects
 /// zero injection sites against the measured baseline.
 [[nodiscard]] SweepResult run_injection_sweep(const sparse::CsrMatrix& A,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dense/hessenberg_qr.hpp"
@@ -72,16 +73,41 @@ bool FgmresEngine::past_deadline() const {
          std::chrono::steady_clock::now() >= deadline_;
 }
 
-bool FgmresEngine::start() {
-  ++result_.global_syncs; // ||b||
-  bnorm_ = la::nrm2(b_);
-  abs_target_ = opts_.tol * (bnorm_ > 0.0 ? bnorm_ : 1.0);
+void FgmresEngine::arm() {
   w_->arena.reserve(n_, opts_.max_outer);
   if (opts_.deadline_seconds > 0.0) {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(opts_.deadline_seconds));
   }
+}
+
+void FgmresEngine::reset_projection() {
+  w_->qr.reset(opts_.max_outer, beta_);
+  if (opts_.rank_check_every_iteration) {
+    ice_.reset();
+    ice_.reserve(opts_.max_outer);
+    ice_col_.resize(opts_.max_outer);
+  }
+  std::vector<double>& hcol = w_->arena.h_column();
+  std::fill(hcol.begin(),
+            hcol.begin() + static_cast<std::ptrdiff_t>(opts_.max_outer + 2),
+            0.0);
+}
+
+double FgmresEngine::track_condition() {
+  const dense::HessenbergQr& qr = w_->qr;
+  const std::size_t k = qr.size();
+  for (std::size_t i = 0; i < k; ++i) ice_col_[i] = qr.r(i, k - 1);
+  ice_.update({ice_col_.data(), k});
+  return ice_.ratio();
+}
+
+bool FgmresEngine::start() {
+  ++result_.global_syncs; // ||b||
+  bnorm_ = la::nrm2(b_);
+  abs_target_ = opts_.tol * (bnorm_ > 0.0 ? bnorm_ : 1.0);
+  arm();
 
   // Reliable initial residual.
   la::Vector& r = w_->arena.scratch(0);
@@ -107,18 +133,81 @@ bool FgmresEngine::start() {
   q.clear();
   zbasis.clear();
   q.append(r.span(), 1.0 / beta_);
-
-  w_->qr.reset(opts_.max_outer, beta_);
-  if (opts_.rank_check_every_iteration) {
-    ice_.reset();
-    ice_.reserve(opts_.max_outer);
-    ice_col_.resize(opts_.max_outer);
-  }
-  std::vector<double>& hcol = w_->arena.h_column();
-  std::fill(hcol.begin(),
-            hcol.begin() + static_cast<std::ptrdiff_t>(opts_.max_outer + 2),
-            0.0);
+  reset_projection();
   return false;
+}
+
+void FgmresEngine::resume(const FgmresTrajectory& t, std::size_t k) {
+  if (k >= t.size() || t.rows != n_) {
+    throw std::invalid_argument("fgmres: resume boundary " +
+                                std::to_string(k) +
+                                " is not recorded in the trajectory");
+  }
+  bnorm_ = t.bnorm;
+  abs_target_ = opts_.tol * (bnorm_ > 0.0 ? bnorm_ : 1.0);
+  beta_ = t.beta;
+  beta0_ = beta_;
+  arm();
+
+  const FgmresTrajectory::Boundary& at = t.boundaries[k];
+  result_.residual_norm = beta_;
+  result_.outer_iterations = k;
+  result_.residual_history.assign(
+      t.residual_history.begin(),
+      t.residual_history.begin() + static_cast<std::ptrdiff_t>(k));
+  result_.global_syncs = at.global_syncs;
+  result_.rank_checks = at.rank_checks;
+  result_.sanitized_outputs = at.sanitized_outputs;
+  result_.min_sigma_ratio = at.min_sigma_ratio;
+
+  // The recorded columns are final once appended, so the prefix is a
+  // plain copy; the projected QR and the conditioning monitor are rebuilt
+  // by the same add_column/update sequence advance() ran.
+  const auto column = [this](const std::vector<double>& cols, std::size_t i) {
+    return std::span<const double>(cols.data() + i * n_, n_);
+  };
+  la::KrylovBasis& q = w_->arena.basis();
+  la::KrylovBasis& zbasis = w_->arena.directions();
+  q.clear();
+  zbasis.clear();
+  for (std::size_t i = 0; i <= k; ++i) q.append(column(t.v, i));
+  for (std::size_t i = 0; i < k; ++i) zbasis.append(column(t.z, i));
+  reset_projection();
+  for (std::size_t j = 0; j < k; ++j) {
+    w_->qr.add_column({t.h.data() + j * (j + 3) / 2, j + 2});
+    if (opts_.rank_check_every_iteration) (void)track_condition();
+  }
+  j_ = k;
+}
+
+bool FgmresEngine::snapshot(FgmresTrajectory& t) const {
+  if (finished_ || !replayable_) return false;
+  if (t.size() != j_) {
+    throw std::logic_error(
+        "FgmresEngine::snapshot: boundaries must be recorded in order");
+  }
+  const auto push = [](std::vector<double>& to, std::span<const double> col) {
+    to.insert(to.end(), col.begin(), col.end());
+  };
+  if (j_ == 0) {
+    t.rows = n_;
+    t.bnorm = bnorm_;
+    t.beta = beta_;
+  } else {
+    // The arena's Hessenberg column still holds the accepted column of
+    // iteration j-1 (j+1 entries).
+    const std::vector<double>& hcol = w_->arena.h_column();
+    t.h.insert(t.h.end(), hcol.begin(),
+               hcol.begin() + static_cast<std::ptrdiff_t>(j_ + 1));
+    push(t.z, w_->arena.directions().col(j_ - 1));
+    t.residual_history.push_back(result_.residual_history.back());
+  }
+  push(t.v, w_->arena.basis().col(j_));
+  t.boundaries.push_back({.global_syncs = result_.global_syncs,
+                          .rank_checks = result_.rank_checks,
+                          .sanitized_outputs = result_.sanitized_outputs,
+                          .min_sigma_ratio = result_.min_sigma_ratio});
+  return true;
 }
 
 FgmresEngine::PrecondRequest FgmresEngine::begin_iteration() {
@@ -194,10 +283,7 @@ bool FgmresEngine::advance() {
     ratio = 1.0;
     subdiag_small = hnext <= opts_.breakdown_tol * beta_;
     if (opts_.rank_check_every_iteration) {
-      const std::size_t k = qr.size();
-      for (std::size_t i = 0; i < k; ++i) ice_col_[i] = qr.r(i, k - 1);
-      ice_.update({ice_col_.data(), k});
-      ratio = ice_.ratio();
+      ratio = track_condition();
       ++result_.rank_checks;
       result_.min_sigma_ratio = std::min(result_.min_sigma_ratio, ratio);
     }
@@ -210,6 +296,7 @@ bool FgmresEngine::advance() {
     if (!rank_deficient) break;
     if (!opts_.sanitize_preconditioner_output || attempt == 1) break;
     ++result_.sanitized_outputs;
+    replayable_ = false;
     qr.pop_column();
     if (opts_.rank_check_every_iteration) ice_.pop();
     la::copy(q.col(j), zbasis.col(j));
@@ -303,6 +390,7 @@ bool FgmresEngine::restart_cycle() {
   // the one direction begin_iteration() appended but never committed.
   base_iters_ += j_ + 1;
   ++result_.outer_restarts;
+  replayable_ = false;
   result_.outer_iterations = base_iters_;
 
   // Fold the accepted columns into the iterate -- the flagged direction
@@ -340,12 +428,7 @@ bool FgmresEngine::restart_cycle() {
   q.clear();
   zbasis.clear();
   q.append(r.span(), 1.0 / beta_);
-  qr.reset(opts_.max_outer, beta_);
-  if (opts_.rank_check_every_iteration) ice_.reset();
-  std::vector<double>& hcol = w_->arena.h_column();
-  std::fill(hcol.begin(),
-            hcol.begin() + static_cast<std::ptrdiff_t>(opts_.max_outer + 2),
-            0.0);
+  reset_projection();
   j_ = 0;
   return false;
 }

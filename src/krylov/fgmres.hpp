@@ -91,6 +91,40 @@ struct FgmresResult {
                                         ///< see GmresStats::global_syncs)
 };
 
+/// The outer state of one FGMRES solve at each of its outer-iteration
+/// boundaries (the point between outer iterations k-1 and k), recorded by
+/// FgmresEngine::snapshot() so that a later solve of the SAME system --
+/// same operator, b, x0 and options -- can resume() at any recorded
+/// boundary instead of recomputing the prefix.  The resumed solve is
+/// bitwise identical to the straight-through one.
+///
+/// Basis and direction columns never change once appended, so one copy of
+/// each serves every boundary: boundary k uses V columns 0..k, Z columns
+/// 0..k-1 and Hessenberg columns 0..k-1.  The projected QR is not stored;
+/// resume() replays the Hessenberg columns through it (and through the
+/// incremental condition estimator) exactly as the recorded solve did.
+struct FgmresTrajectory {
+  /// The FgmresResult counters on entry to one outer iteration.
+  struct Boundary {
+    std::size_t global_syncs = 0;
+    std::size_t rank_checks = 0;
+    std::size_t sanitized_outputs = 0;
+    double min_sigma_ratio = 1.0;
+  };
+  std::size_t rows = 0;
+  double bnorm = 0.0;                   ///< ||b||
+  double beta = 0.0;                    ///< initial residual norm
+  std::vector<Boundary> boundaries;     ///< [k]: entering outer iteration k
+  std::vector<double> residual_history; ///< estimate after each iteration
+  std::vector<double> h; ///< Hessenberg column j (j+2 entries) at offset
+                         ///< j*(j+3)/2
+  std::vector<double> v; ///< basis columns q_0, q_1, ... (rows entries each)
+  std::vector<double> z; ///< direction columns z_0, z_1, ...
+
+  /// Number of recorded boundaries.
+  [[nodiscard]] std::size_t size() const noexcept { return boundaries.size(); }
+};
+
 /// Step-driveable FGMRES: the single implementation behind both the
 /// one-shot fgmres() free function and the lockstep FT-GMRES driver
 /// (krylov/ft_gmres_batch.hpp).  One outer iteration is split at its two
@@ -123,6 +157,25 @@ public:
   /// Returns finished(): true when x0 already meets the tolerance (the
   /// iteration protocol must then be skipped entirely).
   bool start();
+
+  /// Start at boundary \p k of \p t instead of from x0: the state start()
+  /// and k outer iterations would have reached, restored from the record
+  /// (2k+1 column copies and a replay of k Hessenberg columns; no operator
+  /// application).  \p t must have been recorded from a solve of the same
+  /// system with the same options; k == 0 is equivalent to start() except
+  /// that it returns nothing (a recorded boundary is never finished).
+  /// Throws std::invalid_argument when \p k is not recorded in \p t or
+  /// \p t was recorded at another dimension.
+  void resume(const FgmresTrajectory& t, std::size_t k);
+
+  /// Record the current outer-iteration boundary into \p t: call between
+  /// iterations (after start()/resume()/advance() returned false, before
+  /// begin_iteration()), once per boundary and in order, so boundary k
+  /// lands at t.boundaries[k].  Returns false and records nothing once the
+  /// state stopped being replayable by resume(): after a recovery restart
+  /// or after a degenerate direction was discarded (a popped QR column
+  /// does not restore the factorization bitwise).
+  bool snapshot(FgmresTrajectory& t) const;
 
   /// True once a terminal status has been reached; no further protocol
   /// calls are allowed.
@@ -181,6 +234,12 @@ private:
   KrylovWorkspace* w_;
   /// True when the wall-clock guard is armed and the deadline has passed.
   [[nodiscard]] bool past_deadline() const;
+  /// Reserve the arenas and arm the wall-clock guard (start and resume).
+  void arm();
+  /// Empty projected problem for a cycle starting at residual norm beta_.
+  void reset_projection();
+  /// Feed the newest R column to the conditioning monitor; its ratio.
+  double track_condition();
 
   la::Vector x0_;
   std::size_t n_ = 0;
@@ -193,6 +252,7 @@ private:
   double beta0_ = 0.0; ///< initial residual norm (divergence reference)
   std::chrono::steady_clock::time_point deadline_{};
   bool finished_ = false;
+  bool replayable_ = true; ///< no restart or discarded direction so far
   FgmresResult result_;
   /// O(k)/iteration conditioning monitor of the projected QR's R factor
   /// (rank_check_every_iteration); reset with the factor on every cycle.

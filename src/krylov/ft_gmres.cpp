@@ -234,8 +234,24 @@ void step_inner_block(const OperatorT<S>& A,
   live.swap(still_live);
 }
 
+/// Counts the Arnoldi iterations a recorded solve's inner hook is shown.
+class IterationCounter final : public ArnoldiHook {
+public:
+  void on_iteration_begin(const ArnoldiContext& ctx) override {
+    (void)ctx;
+    ++count_;
+  }
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+
+private:
+  std::size_t count_ = 0;
+};
+
 /// The FT-GMRES driver: B nested solves in lockstep, a solo solve being
 /// B = 1 (every one-column step then applies directly, with no staging).
+/// An instance with a start trajectory resumes at its boundary; the rest
+/// start from zero.  With \p record set (B = 1), the solve is recorded
+/// into it at every outer boundary while the outer engine can replay it.
 /// The outer (reliable) phase always runs in double against the original
 /// operator \p A; only the inner phase's engines, staging, and products
 /// are typed on the scalar of \p inner_op (A itself on the default plane,
@@ -244,7 +260,9 @@ template <typename S>
 std::vector<FtGmresResult> drive_lockstep(
     const LinearOperator& A, const OperatorT<S>& inner_op,
     std::span<const std::span<const double>> bs, const FtGmresOptions& opts,
-    std::span<ArnoldiHook* const> inner_hooks, FtGmresWorkspace& w) {
+    std::span<ArnoldiHook* const> inner_hooks,
+    std::span<const FtGmresStart> starts, FtGmresTrajectory* record,
+    FtGmresWorkspace& w) {
   const std::size_t batch = bs.size();
   std::vector<FtGmresResult> results(batch);
 
@@ -261,8 +279,15 @@ std::vector<FtGmresResult> drive_lockstep(
     inner_products->reserve(A.rows(), batch);
   }
 
-  // Paper protocol: every instance starts from zero.
+  // Paper protocol: every instance starts from zero (a resumed one at a
+  // boundary of a solve that did).
   const la::Vector x0(A.cols());
+
+  // The recorded instance's hook events also reach a counter, so each
+  // boundary knows how many inner iterations the hook had seen.
+  IterationCounter counter;
+  HookChain counted;
+  bool recording = record != nullptr;
 
   std::vector<InnerGmresT<S>> inner;
   inner.reserve(batch);
@@ -270,6 +295,11 @@ std::vector<FtGmresResult> drive_lockstep(
   engines.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     ArnoldiHook* hook = inner_hooks.empty() ? nullptr : inner_hooks[i];
+    if (recording) {
+      if (hook != nullptr) counted.add(hook);
+      counted.add(&counter);
+      hook = &counted;
+    }
     inner.emplace_back(inner_op, opts.inner, hook, opts.robust_first_inner,
                        &inner_workspace_for<S>(w.instances[i]),
                        opts.recovery);
@@ -282,7 +312,17 @@ std::vector<FtGmresResult> drive_lockstep(
   std::vector<std::size_t> active;
   active.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
-    if (!engines[i].start()) active.push_back(i);
+    const FtGmresStart from = starts.empty() ? FtGmresStart{} : starts[i];
+    if (from.trajectory == nullptr) {
+      if (!engines[i].start()) active.push_back(i);
+      continue;
+    }
+    // A recorded boundary is never finished: resume and prefill the inner
+    // records of the skipped outer iterations.
+    engines[i].resume(from.trajectory->outer, from.boundary);
+    inner[i].prefill_records(
+        std::span(from.trajectory->inner).first(from.boundary));
+    active.push_back(i);
   }
 
   std::vector<GmresEngineT<S>> inners;
@@ -297,6 +337,11 @@ std::vector<FtGmresResult> drive_lockstep(
   producing.reserve(batch);
   std::vector<char> alive;
   while (!active.empty()) {
+    if (recording) {
+      recording = engines[0].snapshot(record->outer);
+      if (recording) record->hook_iterations.push_back(counter.count());
+    }
+
     // --- Unreliable phase, in lockstep: one step-driveable inner engine
     // per live instance, all advanced together so each inner Arnoldi
     // iteration streams the matrix once for the whole block (the
@@ -382,6 +427,12 @@ std::vector<FtGmresResult> drive_lockstep(
     active.swap(live);
   }
 
+  if (record != nullptr && record->size() > 0) {
+    const std::vector<InnerSolveRecord>& recs = inner[0].records();
+    record->inner.assign(recs.begin(),
+                         recs.begin() + static_cast<std::ptrdiff_t>(
+                                            record->size() - 1));
+  }
   for (std::size_t i = 0; i < batch; ++i) {
     results[i] =
         make_ft_gmres_result(engines[i].take_result(), inner[i].records());
@@ -389,16 +440,20 @@ std::vector<FtGmresResult> drive_lockstep(
   return results;
 }
 
-} // namespace
-
-std::vector<FtGmresResult> ft_gmres_batch(
+/// The checked entry of the driver: ft_gmres_batch and ft_gmres_recorded.
+std::vector<FtGmresResult> run_lockstep(
     const LinearOperator& A, std::span<const std::span<const double>> bs,
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks,
-    FtGmresWorkspace* ws) {
+    FtGmresWorkspace* ws, std::span<const FtGmresStart> starts,
+    FtGmresTrajectory* record) {
   const std::size_t batch = bs.size();
   if (!inner_hooks.empty() && inner_hooks.size() != batch) {
     throw std::invalid_argument(
         "ft_gmres_batch: inner_hooks must be empty or match bs in size");
+  }
+  if (!starts.empty() && starts.size() != batch) {
+    throw std::invalid_argument(
+        "ft_gmres_batch: starts must be empty or match bs in size");
   }
   if (batch == 0) return {};
 
@@ -409,8 +464,18 @@ std::vector<FtGmresResult> ft_gmres_batch(
   // the outer iteration (and its products) stays on A.
   return with_inner_operator(
       A, opts, w.plane, [&]<typename S>(const OperatorT<S>& inner_op) {
-        return drive_lockstep(A, inner_op, bs, opts, inner_hooks, w);
+        return drive_lockstep(A, inner_op, bs, opts, inner_hooks, starts,
+                              record, w);
       });
+}
+
+} // namespace
+
+std::vector<FtGmresResult> ft_gmres_batch(
+    const LinearOperator& A, std::span<const std::span<const double>> bs,
+    const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks,
+    FtGmresWorkspace* ws, std::span<const FtGmresStart> starts) {
+  return run_lockstep(A, bs, opts, inner_hooks, ws, starts, nullptr);
 }
 
 std::vector<FtGmresResult> ft_gmres_batch(
@@ -430,6 +495,17 @@ FtGmresResult ft_gmres(const LinearOperator& A, const la::Vector& b,
   const std::span<const double> bs[] = {b.span()};
   ArnoldiHook* const hooks[] = {inner_hook};
   return std::move(ft_gmres_batch(A, bs, opts, hooks, ws).front());
+}
+
+FtGmresResult ft_gmres_recorded(const LinearOperator& A, const la::Vector& b,
+                                const FtGmresOptions& opts,
+                                ArnoldiHook* inner_hook,
+                                FtGmresTrajectory& trajectory) {
+  trajectory = {};
+  const std::span<const double> bs[] = {b.span()};
+  ArnoldiHook* const hooks[] = {inner_hook};
+  return std::move(
+      run_lockstep(A, bs, opts, hooks, nullptr, {}, &trajectory).front());
 }
 
 FtGmresResult ft_gmres(const sparse::CsrMatrix& A, const la::Vector& b,

@@ -132,6 +132,31 @@ struct FtGmresResult {
                                      ///< inner share by ~s/2x.
 };
 
+/// A failure-free FT-GMRES solve recorded at every outer-iteration
+/// boundary (ft_gmres_recorded): the outer trajectory, the inner records
+/// of the recorded outer iterations, and how many Arnoldi iterations the
+/// inner hook had been shown at each boundary.  A later solve of the same
+/// system starts at any recorded boundary through FtGmresStart; up to that
+/// boundary it would have computed exactly this prefix.
+struct FtGmresTrajectory {
+  FgmresTrajectory outer;
+  std::vector<InnerSolveRecord> inner; ///< [j]: the inner solve of outer
+                                       ///< iteration j (j + 1 < size())
+  std::vector<std::size_t> hook_iterations; ///< [k]: on_iteration_begin
+                                       ///< events the inner hook received
+                                       ///< before outer iteration k
+
+  /// Number of recorded boundaries.
+  [[nodiscard]] std::size_t size() const noexcept { return outer.size(); }
+};
+
+/// Where one lockstep instance starts: boundary \p boundary of
+/// \p trajectory, or from x0 = 0 (start()) when \p trajectory is null.
+struct FtGmresStart {
+  const FtGmresTrajectory* trajectory = nullptr;
+  std::size_t boundary = 0;
+};
+
 /// Inner GMRES exposed as a flexible preconditioner: each application
 /// approximately solves A z = q from a zero initial guess on the inner
 /// data plane of scalar \p S, running span-to-span out of the outer
@@ -222,6 +247,12 @@ public:
     return records_;
   }
 
+  /// Start the records with those of the outer iterations a resumed solve
+  /// skips (FtGmresStart), so its result describes the whole solve.
+  void prefill_records(std::span<const InnerSolveRecord> prefix) {
+    records_.assign(prefix.begin(), prefix.end());
+  }
+
 private:
   /// The per-solve options: the configured inner options, with CGS2
   /// re-orthogonalization swapped in for the first inner solve when
@@ -285,5 +316,18 @@ using InnerGmresPreconditioner = InnerGmresT<double>;
                                      const FtGmresOptions& opts,
                                      ArnoldiHook* inner_hook = nullptr,
                                      FtGmresWorkspace* ws = nullptr);
+
+/// ft_gmres() that also records \p trajectory (cleared first) at every
+/// outer-iteration boundary, for later solves to start from.  Recording
+/// observes only: the result is bitwise the ft_gmres() result.  Recording
+/// stops early at a boundary the outer engine cannot replay (see
+/// FgmresEngine::snapshot); a hook that changes the solve (a detector that
+/// fires) is recorded as it acted, so the caller decides which boundaries
+/// a differently hooked solve may share.
+[[nodiscard]] FtGmresResult ft_gmres_recorded(const LinearOperator& A,
+                                              const la::Vector& b,
+                                              const FtGmresOptions& opts,
+                                              ArnoldiHook* inner_hook,
+                                              FtGmresTrajectory& trajectory);
 
 } // namespace sdcgmres::krylov

@@ -44,9 +44,10 @@
 namespace sdcgmres::krylov {
 
 /// Solve A x_i = b_i for every right-hand side in \p bs with FT-GMRES
-/// from zero initial guesses, advancing all instances in lockstep (one
-/// fused operator application per outer iteration).  Results arrive in
-/// input order and are bitwise identical to ft_gmres() run per rhs.
+/// from zero initial guesses (or from recorded boundaries, see \p starts),
+/// advancing all instances in lockstep (one fused operator application
+/// per outer iteration).  Results arrive in input order and are bitwise
+/// identical to ft_gmres() run per rhs.
 ///
 /// \param inner_hooks per-instance hooks observing/corrupting the
 ///        unreliable inner solves (the sweep engine passes one fault
@@ -54,10 +55,15 @@ namespace sdcgmres::krylov {
 ///        hooks, otherwise must match \p bs in size (nullptr entries
 ///        allowed).
 /// \param ws optional reusable workspace.
+/// \param starts empty (every instance starts from zero) or one start per
+///        instance: an instance with a trajectory resumes at its boundary
+///        (its hook must already account for the skipped prefix, e.g. a
+///        fault campaign seeded with FtGmresTrajectory::hook_iterations)
+///        and returns the same result as its solve from zero.
 [[nodiscard]] std::vector<FtGmresResult> ft_gmres_batch(
     const LinearOperator& A, std::span<const std::span<const double>> bs,
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks = {},
-    FtGmresWorkspace* ws = nullptr);
+    FtGmresWorkspace* ws = nullptr, std::span<const FtGmresStart> starts = {});
 
 /// Convenience overload for owning right-hand sides.
 [[nodiscard]] std::vector<FtGmresResult> ft_gmres_batch(

@@ -124,6 +124,11 @@ RecurringFaultCampaign::RecurringFaultCampaign(std::size_t first_iteration,
     throw std::invalid_argument(
         "RecurringFaultCampaign: period must be positive");
   }
+  if (position_ == MgsPosition::Index) {
+    throw std::invalid_argument(
+        "RecurringFaultCampaign: MgsPosition::Index is not supported (no "
+        "coefficient index); use First or Last");
+  }
 }
 
 void RecurringFaultCampaign::on_iteration_begin(
@@ -139,12 +144,8 @@ void RecurringFaultCampaign::on_projection_coefficient(
   const std::size_t current = iterations_seen_ - 1;
   if (current < first_iteration_) return;
   if ((current - first_iteration_) % period_ != 0) return;
-  bool match = false;
-  switch (position_) {
-    case MgsPosition::First: match = (i == 0); break;
-    case MgsPosition::Last: match = (i + 1 == mgs_steps); break;
-    case MgsPosition::Index: match = false; break; // not supported here
-  }
+  const bool match =
+      position_ == MgsPosition::First ? i == 0 : i + 1 == mgs_steps;
   if (!match) return;
   const double before = h;
   h = model_.apply(h);

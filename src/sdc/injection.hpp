@@ -69,7 +69,13 @@ struct InjectionPlan {
 /// and records an Event.  A single transient SDC: it never fires twice.
 class FaultCampaign final : public krylov::ArnoldiHook {
 public:
-  explicit FaultCampaign(InjectionPlan plan) : plan_(plan) {}
+  /// \param iterations_seen aggregate Arnoldi iterations to count as
+  ///        already observed: a campaign for a solve resumed after a
+  ///        recorded fault-free prefix (krylov::FtGmresStart) is seeded
+  ///        with the prefix's count and fires where the campaign that
+  ///        observed the prefix would.
+  explicit FaultCampaign(InjectionPlan plan, std::size_t iterations_seen = 0)
+      : plan_(plan), iterations_seen_(iterations_seen) {}
 
   // --- krylov::ArnoldiHook ---
   void on_solve_begin(std::size_t solve_index) override;
@@ -115,6 +121,8 @@ private:
 /// extends as the event rate grows (see bench_ablation_fault_rate).
 class RecurringFaultCampaign final : public krylov::ArnoldiHook {
 public:
+  /// Throws std::invalid_argument for period == 0 and for
+  /// MgsPosition::Index, which has no coefficient index here.
   RecurringFaultCampaign(std::size_t first_iteration, std::size_t period,
                          MgsPosition position, FaultModel model);
 

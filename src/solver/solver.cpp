@@ -236,7 +236,8 @@ SolveReport FtGmresSolver::solve(std::span<const double> b,
 std::vector<SolveReport> FtGmresSolver::solve_batch(
     std::span<const std::span<const double>> bs,
     std::span<const std::span<double>> xs,
-    std::span<krylov::ArnoldiHook* const> inner_hooks) {
+    std::span<krylov::ArnoldiHook* const> inner_hooks,
+    std::span<const krylov::FtGmresStart> starts) {
   const auto reject = [this](const char* why) {
     throw std::invalid_argument(std::string(name()) + ": " + why);
   };
@@ -254,15 +255,16 @@ std::vector<SolveReport> FtGmresSolver::solve_batch(
       reject("every b/x span must have size dimension()");
     }
   }
-  return solve_lockstep(bs, xs, inner_hooks);
+  return solve_lockstep(bs, xs, inner_hooks, starts);
 }
 
 std::vector<SolveReport> FtGmresSolver::solve_lockstep(
     std::span<const std::span<const double>> bs,
     std::span<const std::span<double>> xs,
-    std::span<krylov::ArnoldiHook* const> hooks) {
+    std::span<krylov::ArnoldiHook* const> hooks,
+    std::span<const krylov::FtGmresStart> starts) {
   std::vector<krylov::FtGmresResult> res =
-      krylov::ft_gmres_batch(*a_, bs, opts_, hooks, &ws_);
+      krylov::ft_gmres_batch(*a_, bs, opts_, hooks, &ws_, starts);
   std::vector<SolveReport> reports;
   reports.reserve(res.size());
   for (std::size_t i = 0; i < res.size(); ++i) {

@@ -307,11 +307,15 @@ public:
   /// construction, so a hook installed via the single-solve set_hook()
   /// seam does NOT apply here: calling solve_batch with such a hook
   /// installed but no inner_hooks throws std::invalid_argument (silently
-  /// dropping a campaign would corrupt an experiment).
+  /// dropping a campaign would corrupt an experiment).  \p starts is
+  /// empty or one start per instance (krylov::ft_gmres_batch): an
+  /// instance with a recorded trajectory resumes at its boundary and
+  /// reports the same result as its solve from zero.
   std::vector<SolveReport> solve_batch(
       std::span<const std::span<const double>> bs,
       std::span<const std::span<double>> xs,
-      std::span<krylov::ArnoldiHook* const> inner_hooks = {});
+      std::span<krylov::ArnoldiHook* const> inner_hooks = {},
+      std::span<const krylov::FtGmresStart> starts = {});
 
   /// Traffic counters of the narrowed inner-plane mirror shared by every
   /// instance (zero when the configuration is the default double/int64 --
@@ -323,7 +327,8 @@ private:
   std::vector<SolveReport> solve_lockstep(
       std::span<const std::span<const double>> bs,
       std::span<const std::span<double>> xs,
-      std::span<krylov::ArnoldiHook* const> hooks);
+      std::span<krylov::ArnoldiHook* const> hooks,
+      std::span<const krylov::FtGmresStart> starts = {});
 
   const krylov::LinearOperator* a_;
   krylov::FtGmresOptions opts_;

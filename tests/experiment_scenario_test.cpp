@@ -309,6 +309,41 @@ TEST(Scenario, GuardKeysReachTheSolverOptions) {
                std::invalid_argument);
 }
 
+TEST(ScenarioSpec, NonFiniteNumbersAreRejectedNamingTheKey) {
+  // nan passes every "< 0" range check and inf overflows the deadline's
+  // duration cast, so neither may reach a solver or a shard watchdog.
+  for (const char* text : {"deadline=inf", "deadline=nan", "divergence=nan",
+                           "tol=nan", "tol=inf", "inner_tol=-inf"}) {
+    try {
+      (void)experiment::solver_options_from_spec(ScenarioSpec::parse(text));
+      FAIL() << text << ": expected a throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string key(text, std::string(text).find('='));
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)experiment::shard_options_from_spec(
+                   ScenarioSpec::parse("workers=2 worker_timeout=inf")),
+               std::invalid_argument);
+}
+
+TEST(Scenario, NegativeTolerancesAreRejected) {
+  // A negative target is never met: the solve would silently run out its
+  // budget and report max-iterations.
+  for (const char* text : {"tol=-1", "inner_tol=-1e-3"}) {
+    EXPECT_THROW((void)experiment::solver_options_from_spec(
+                     ScenarioSpec::parse(text)),
+                 std::invalid_argument)
+        << text;
+  }
+  const auto opts = experiment::solver_options_from_spec(
+      ScenarioSpec::parse("tol=0 inner_tol=0"));
+  EXPECT_EQ(opts.tol, 0.0);
+  EXPECT_EQ(opts.inner_tol, 0.0);
+}
+
 TEST(Scenario, RecoveryKeyNeedsADetector) {
   // A recovery mode nothing can trigger would silently run unprotected.
   EXPECT_THROW((void)experiment::run_injection_sweep(ScenarioSpec::parse(

@@ -1,18 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "experiment/report.hpp"
 #include "experiment/sweep.hpp"
 #include "gen/poisson.hpp"
 #include "la/blas1.hpp"
+#include "sdc/detector.hpp"
+#include "sdc/injection.hpp"
+#include "solver/solver.hpp"
 
 namespace experiment = sdcgmres::experiment;
 namespace krylov = sdcgmres::krylov;
 namespace sdc = sdcgmres::sdc;
 namespace gen = sdcgmres::gen;
 namespace la = sdcgmres::la;
+namespace solver = sdcgmres::solver;
 
 namespace {
 
@@ -22,6 +30,73 @@ experiment::SweepConfig small_config() {
   config.solver.outer.tol = 1e-8;
   config.solver.outer.max_outer = 120;
   return config;
+}
+
+/// Every site of \p config solved from scratch: one FtGmresSolver::solve
+/// per site, from zero, with its own fault campaign and detector chain --
+/// the protocol the sweep's forked solves must reproduce bitwise.
+std::vector<experiment::SweepPoint> solve_sites_from_scratch(
+    const sdcgmres::sparse::CsrMatrix& A, const la::Vector& b,
+    const experiment::SweepConfig& config, std::size_t n_points) {
+  krylov::FtGmresOptions opts = config.solver;
+  if (config.with_detector) {
+    const krylov::InnerRecovery recovery =
+        sdc::inner_recovery_for(config.detector_response);
+    if (recovery != krylov::InnerRecovery::None) opts.recovery = recovery;
+  }
+  const krylov::CsrOperator op(A);
+  solver::FtGmresSolver ft(op, opts);
+  std::vector<experiment::SweepPoint> points;
+  for (std::size_t i = 0; i < n_points; ++i) {
+    const std::size_t site = i * config.stride;
+    sdc::InjectionPlan plan = sdc::InjectionPlan::hessenberg(
+        site, config.position, config.model);
+    plan.target = config.target;
+    sdc::FaultCampaign campaign(plan);
+    sdc::HessenbergBoundDetector detector(config.detector_bound > 0.0
+                                              ? config.detector_bound
+                                              : 1.0,
+                                          config.detector_response);
+    krylov::HookChain chain;
+    chain.add(&campaign);
+    if (config.with_detector) chain.add(&detector);
+    ft.set_hook(&chain);
+    la::Vector x(A.rows());
+    const solver::SolveReport run = ft.solve(b.span(), x.span());
+
+    experiment::SweepPoint& p = points.emplace_back();
+    p.aggregate_iteration = site;
+    p.outer_iterations = run.iterations;
+    p.converged = run.converged();
+    p.injected = campaign.fired();
+    p.detected = config.with_detector && detector.triggered();
+    p.sanitized_outputs = run.sanitized_outputs;
+    p.inner_applies = run.total_inner_applies;
+    p.residual_norm = run.residual_norm;
+    p.status = run.status;
+    for (const krylov::InnerSolveRecord& rec : run.inner_solves) {
+      if (rec.status == krylov::SolveStatus::Diverged) ++p.inner_diverged;
+    }
+    p.reliable_retries = run.reliable_retries;
+    p.outer_restarts = run.outer_restarts;
+    p.global_syncs = run.global_syncs;
+  }
+  return points;
+}
+
+/// Field-by-field, bitwise (a NaN residual compares equal to itself).
+void expect_points_bitwise(const std::vector<experiment::SweepPoint>& got,
+                           const std::vector<experiment::SweepPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(want[i].aggregate_iteration));
+    experiment::SweepPoint a = got[i];
+    experiment::SweepPoint b = want[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.residual_norm),
+              std::bit_cast<std::uint64_t>(b.residual_norm));
+    a.residual_norm = b.residual_norm = 0.0;
+    EXPECT_EQ(a, b);
+  }
 }
 
 } // namespace
@@ -484,4 +559,64 @@ TEST(Sweep, RestartOuterUnderThreadsAndBatchStaysIdentical) {
   EXPECT_EQ(batched.points, serial.points);
   EXPECT_EQ(batched.baseline_outer, serial.baseline_outer);
   EXPECT_EQ(batched.baseline_total_inner, serial.baseline_total_inner);
+}
+
+TEST(Sweep, ForkedSitesMatchSolvesFromScratch) {
+  // Every site starts at the last outer boundary of the recorded
+  // failure-free run before it; that must be the same solve, bit for bit,
+  // as a per-site solve from zero with its own campaign and detector.
+  const auto A = gen::poisson2d(7);
+  const la::Vector b = la::ones(A.rows());
+  const sdc::DetectorResponse responses[] = {
+      sdc::DetectorResponse::RetryReliable,
+      sdc::DetectorResponse::RestartOuter};
+  for (const sdc::DetectorResponse response : responses) {
+    auto config = small_config();
+    config.model = sdc::FaultModel::scale(1e150);
+    config.with_detector = true;
+    config.detector_bound = A.frobenius_norm();
+    config.detector_response = response;
+    const auto solo = experiment::run_injection_sweep(A, b, config);
+    const auto scratch =
+        solve_sites_from_scratch(A, b, config, solo.points.size());
+    EXPECT_GT(solo.detected_runs(), 0u);
+    expect_points_bitwise(solo.points, scratch);
+    config.batch = 4;
+    const auto batched = experiment::run_injection_sweep(A, b, config);
+    expect_points_bitwise(batched.points, scratch);
+    // The forked sites skip their prefixes: fewer operand columns than
+    // the points' own inner applies account for, at any batch.
+    EXPECT_LT(solo.operator_stats.columns(), solo.inner_operand_columns());
+    EXPECT_EQ(batched.operator_stats.columns(), solo.operator_stats.columns());
+  }
+}
+
+TEST(Sweep, DetectorFiringInTheBaselineLimitsTheFork) {
+  // A bound below ||A||_2 fires in the failure-free run itself (here
+  // first in outer iteration 3 of 6).  Sites may only fork from
+  // boundaries up to that iteration: a later boundary would drop the
+  // detection (detected) or the retry it triggers.  The baseline fields
+  // still describe the hook-free run.
+  const auto A = gen::poisson2d(7);
+  const la::Vector b = la::ones(A.rows());
+  const sdc::DetectorResponse responses[] = {
+      sdc::DetectorResponse::RecordOnly,
+      sdc::DetectorResponse::RetryReliable};
+  for (const sdc::DetectorResponse response : responses) {
+    auto config = small_config();
+    config.model = sdc::FaultModel::scale(2.0);
+    config.with_detector = true;
+    config.detector_bound = 5.5;
+    config.detector_response = response;
+    config.batch = 4;
+    const auto sweep = experiment::run_injection_sweep(A, b, config);
+    const auto direct = experiment::run_baseline(A, b, config.solver);
+    EXPECT_EQ(sweep.baseline_outer, direct.outer_iterations);
+    EXPECT_EQ(sweep.baseline_total_inner, direct.total_inner_iterations);
+    EXPECT_EQ(sweep.baseline_global_syncs, direct.global_syncs);
+    EXPECT_EQ(sweep.detected_runs(), sweep.points.size());
+    expect_points_bitwise(
+        sweep.points,
+        solve_sites_from_scratch(A, b, config, sweep.points.size()));
+  }
 }

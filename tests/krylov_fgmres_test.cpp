@@ -4,6 +4,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "gen/convection_diffusion.hpp"
 #include "gen/poisson.hpp"
@@ -63,7 +64,81 @@ double explicit_residual(const sdcgmres::sparse::CsrMatrix& A,
   return la::nrm2(r);
 }
 
+/// Drive \p engine to completion after start()/resume(), recording each
+/// boundary into \p record when given.
+krylov::FgmresResult drive(krylov::FgmresEngine& engine,
+                           const krylov::LinearOperator& A,
+                           krylov::FlexiblePreconditioner& M,
+                           krylov::FgmresTrajectory* record = nullptr) {
+  while (true) {
+    if (record != nullptr) EXPECT_TRUE(engine.snapshot(*record));
+    const krylov::FgmresEngine::PrecondRequest req = engine.begin_iteration();
+    M.apply(req.q, req.outer_index, req.z);
+    A.apply(engine.direction(), engine.v_target());
+    if (engine.advance()) break;
+  }
+  return engine.take_result();
+}
+
+/// Bitwise equality of every field a resumed solve reproduces.
+void expect_same_result(const krylov::FgmresResult& got,
+                        const krylov::FgmresResult& want, std::size_t k) {
+  SCOPED_TRACE("resumed at boundary " + std::to_string(k));
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.outer_iterations, want.outer_iterations);
+  EXPECT_EQ(got.residual_norm, want.residual_norm);
+  EXPECT_EQ(got.residual_history, want.residual_history);
+  EXPECT_EQ(got.global_syncs, want.global_syncs);
+  EXPECT_EQ(got.rank_checks, want.rank_checks);
+  EXPECT_EQ(got.min_sigma_ratio, want.min_sigma_ratio);
+  EXPECT_EQ(got.sanitized_outputs, want.sanitized_outputs);
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < want.x.size(); ++i) {
+    ASSERT_EQ(got.x[i], want.x[i]) << "x[" << i << "]";
+  }
+}
+
 } // namespace
+
+TEST(Fgmres, ResumingAtEveryBoundaryReproducesTheStraightSolve) {
+  const auto A = gen::poisson2d(10);
+  const la::Vector b = la::ones(A.rows());
+  const la::Vector x0 = la::zeros(A.rows());
+  const krylov::CsrOperator op(A);
+  la::Vector inv_diag = A.diagonal();
+  for (std::size_t i = 0; i < inv_diag.size(); ++i) {
+    inv_diag[i] = 1.0 / inv_diag[i];
+  }
+  for (const bool every_iteration : {true, false}) {
+    SCOPED_TRACE(every_iteration ? "rank check every iteration"
+                                 : "rank check at breakdown only");
+    krylov::FgmresOptions opts;
+    opts.max_outer = 80;
+    opts.tol = 1e-10;
+    opts.rank_check_every_iteration = every_iteration;
+    AlternatingPreconditioner M(inv_diag);
+    const krylov::FgmresResult straight = krylov::fgmres(op, b, x0, opts, M);
+    ASSERT_EQ(straight.status, krylov::SolveStatus::Converged);
+
+    // Recording observes only.
+    krylov::KrylovWorkspace ws;
+    krylov::FgmresTrajectory t;
+    krylov::FgmresEngine recorder(op, b.span(), x0.span(), opts, ws);
+    ASSERT_FALSE(recorder.start());
+    expect_same_result(drive(recorder, op, M, &t), straight, 0);
+    ASSERT_EQ(t.size(), straight.outer_iterations);
+
+    // Every boundary, through one reused (dirty) workspace.
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      krylov::FgmresEngine resumed(op, b.span(), x0.span(), opts, ws);
+      resumed.resume(t, k);
+      EXPECT_EQ(resumed.iteration(), k);
+      expect_same_result(drive(resumed, op, M), straight, k);
+    }
+    krylov::FgmresEngine beyond(op, b.span(), x0.span(), opts, ws);
+    EXPECT_THROW(beyond.resume(t, t.size()), std::invalid_argument);
+  }
+}
 
 TEST(Fgmres, IdentityPreconditionerMatchesGmres) {
   const auto A = gen::poisson2d(8);

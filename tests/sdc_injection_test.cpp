@@ -121,6 +121,50 @@ TEST(Injection, AggregateCountingSpansMultipleSolves) {
   EXPECT_EQ(e.iteration, 2u);
 }
 
+TEST(Injection, SeededCampaignFiresLikeOneThatObservedThePrefix) {
+  // A solve resumed after a recorded fault-free prefix sees only the
+  // suffix: its campaign, seeded with the prefix's p iterations, must
+  // fire exactly where the campaign that observed the prefix does.
+  const auto A = gen::poisson2d(6);
+  const krylov::CsrOperator op(A);
+  krylov::GmresOptions opts;
+  opts.max_iters = 5;
+  opts.tol = 0.0;
+  const std::size_t p = opts.max_iters; // solve 0 is the prefix
+  const sdc::InjectionTarget targets[] = {
+      sdc::InjectionTarget::ProjectionCoefficient,
+      sdc::InjectionTarget::SubdiagonalNorm,
+      sdc::InjectionTarget::MatvecElement};
+  for (const sdc::InjectionTarget target : targets) {
+    for (std::size_t site = p; site < 2 * p; ++site) {
+      sdc::InjectionPlan plan = sdc::InjectionPlan::hessenberg(
+          site, sdc::MgsPosition::Last, sdc::FaultModel::scale(3.0));
+      plan.target = target;
+      plan.element_index = 4;
+      sdc::FaultCampaign observed(plan);
+      (void)krylov::gmres(op, la::ones(36), la::zeros(36), opts, &observed,
+                          0);
+      (void)krylov::gmres(op, la::ones(36), la::zeros(36), opts, &observed,
+                          1);
+      sdc::FaultCampaign seeded(plan, p);
+      (void)krylov::gmres(op, la::ones(36), la::zeros(36), opts, &seeded, 1);
+
+      ASSERT_TRUE(observed.fired()) << "site " << site;
+      ASSERT_TRUE(seeded.fired()) << "site " << site;
+      EXPECT_EQ(seeded.aggregate_iterations(),
+                observed.aggregate_iterations());
+      const auto& a = observed.log().events().at(0);
+      const auto& b = seeded.log().events().at(0);
+      EXPECT_EQ(b.solve_index, a.solve_index);
+      EXPECT_EQ(b.iteration, a.iteration);
+      EXPECT_EQ(b.coefficient, a.coefficient);
+      EXPECT_EQ(b.value_before, a.value_before);
+      EXPECT_EQ(b.value_after, a.value_after);
+      EXPECT_EQ(a.iteration, site - p);
+    }
+  }
+}
+
 TEST(Injection, NeverFiresWhenTargetBeyondRun) {
   const auto A = gen::poisson2d(6);
   const krylov::CsrOperator op(A);

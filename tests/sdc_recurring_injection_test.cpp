@@ -19,6 +19,14 @@ TEST(RecurringInjection, ZeroPeriodThrows) {
                std::invalid_argument);
 }
 
+TEST(RecurringInjection, IndexPositionThrows) {
+  // A recurring campaign has no coefficient index to aim at; accepting
+  // Index would build a campaign that silently never fires.
+  EXPECT_THROW(sdc::RecurringFaultCampaign(0, 1, sdc::MgsPosition::Index,
+                                           sdc::FaultModel::scale(2.0)),
+               std::invalid_argument);
+}
+
 TEST(RecurringInjection, FiresAtEveryPeriodMultiple) {
   const auto A = gen::poisson2d(6);
   const krylov::CsrOperator op(A);
