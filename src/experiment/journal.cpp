@@ -324,13 +324,28 @@ SweepJournalContents SweepJournal::load(const std::string& path) {
   return contents;
 }
 
+std::string range_journal_path(const std::string& journal, std::size_t range) {
+  return journal + ".range" + std::to_string(range);
+}
+
+std::vector<std::string> journal_range_paths(const std::string& journal) {
+  std::vector<std::string> paths;
+  for (std::string path = range_journal_path(journal, 0);
+       ::access(path.c_str(), F_OK) == 0;
+       path = range_journal_path(journal, paths.size())) {
+    paths.push_back(path);
+  }
+  return paths;
+}
+
 // ---------------------------------------------------------------------------
 // write_merged
 // ---------------------------------------------------------------------------
 
 void SweepJournal::write_merged(
     const std::string& path, const SweepJournalHeader& header,
-    const std::vector<std::pair<std::size_t, SweepPoint>>& points) {
+    const std::vector<std::pair<std::size_t, SweepPoint>>& points,
+    const SweepRunningStats* stats) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail_errno(tmp, "open for writing");
@@ -339,6 +354,7 @@ void SweepJournal::write_merged(
   for (const auto& [index, point] : points) {
     body += format_point(index, point);
   }
+  if (stats != nullptr) body += format_stats(*stats);
   write_fully(fd, tmp, body.data(), body.size());
   if (::fsync(fd) != 0) {
     const int saved = errno;

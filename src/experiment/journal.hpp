@@ -57,9 +57,9 @@ struct SweepJournalHeader {
 /// (not the derived streams/columns sums) so a resumed sweep can restore
 /// the last record as its traffic baseline: the final operator_stats --
 /// and hence the result JSON's bytes-streamed fields -- come out bitwise
-/// identical to an uninterrupted run.  write_merged drops stats lines
-/// during compaction; the resume path re-appends the restored record so
-/// the baseline survives repeated crashes.
+/// identical to an uninterrupted run.  A resume compacts the journal with
+/// the restored record (write_merged's \p stats), so the baseline survives
+/// repeated crashes, and a finished sharded sweep writes its total here.
 struct SweepRunningStats {
   std::size_t points_done = 0; ///< points this JOURNAL has recorded, i.e.
                                ///< cumulative across resumed incarnations
@@ -102,6 +102,18 @@ struct SweepProgress {
   SweepRunningStats stats; ///< latest cumulative traffic counters
 };
 
+/// Where a sharded sweep's worker for point range \p range journals:
+/// `<journal>.range<range>`.
+[[nodiscard]] std::string range_journal_path(const std::string& journal,
+                                             std::size_t range);
+
+/// The range journals of \p journal that exist: `<journal>.range0`,
+/// `.range1`, ... up to the first missing one.  A sharded sweep creates
+/// them in index order and removes them in reverse, so a crash at any
+/// point leaves no other.
+[[nodiscard]] std::vector<std::string> journal_range_paths(
+    const std::string& journal);
+
 /// Tail \p path: load the journal (tolerating the in-flight tail a live
 /// writer leaves) and fold its records into a SweepProgress.  Throws only
 /// on what load() throws on (corrupt interior lines, unreadable files).
@@ -116,11 +128,13 @@ public:
   [[nodiscard]] static SweepJournalContents load(const std::string& path);
 
   /// Atomically replace \p path with a compact journal: one header line,
-  /// then \p points in the given order (tmp-write + fsync + rename).
-  /// Throws std::runtime_error naming the path and reason on any failure.
+  /// then \p points in the given order, then \p stats when given
+  /// (tmp-write + fsync + rename).  Throws std::runtime_error naming the
+  /// path and reason on any failure.
   static void write_merged(
       const std::string& path, const SweepJournalHeader& header,
-      const std::vector<std::pair<std::size_t, SweepPoint>>& points);
+      const std::vector<std::pair<std::size_t, SweepPoint>>& points,
+      const SweepRunningStats* stats = nullptr);
 
   /// Open \p path for appending (created if missing).  Throws
   /// std::runtime_error naming the path and reason when it cannot be

@@ -41,6 +41,18 @@ std::size_t sweep_size_key(const ScenarioSpec& spec, std::string_view key,
   return value;
 }
 
+/// threads= and workers= arrive as untrusted spec text (sdc_serve tenants)
+/// and become OpenMP threads and forked processes; both are capped here.
+constexpr std::size_t kMaxParallelism = 256;
+
+std::size_t capped(std::string_view key, std::size_t value) {
+  if (value <= kMaxParallelism) return value;
+  throw std::invalid_argument(
+      std::string("scenario: ") + std::string(key) + "=" +
+      std::to_string(value) + " is out of range; at most " +
+      std::to_string(kMaxParallelism) + " are allowed");
+}
+
 /// A relative tolerance key: >= 0 (a negative target is never met, so the
 /// solve would silently run out its budget).
 double tolerance_key(const ScenarioSpec& spec, std::string_view key,
@@ -200,10 +212,11 @@ solver::Options solver_options_from_spec(const ScenarioSpec& spec) {
 
 ShardOptions shard_options_from_spec(const ScenarioSpec& spec) {
   ShardOptions shard;
-  shard.workers =
-      sweep_size_key(spec, "workers", 1,
-                     "the valid range is workers >= 1 (1 = in-process "
-                     "sweep, >1 = crash-tolerant process sharding)");
+  shard.workers = capped(
+      "workers", sweep_size_key(spec, "workers", 1,
+                                "the valid range is workers >= 1 (1 = "
+                                "in-process sweep, >1 = crash-tolerant "
+                                "process sharding)"));
   shard.worker_timeout_seconds = spec.get_double("worker_timeout", 0.0);
   if (shard.worker_timeout_seconds < 0.0) {
     throw std::invalid_argument(
@@ -327,7 +340,7 @@ SweepConfig sweep_config_from_spec(const ScenarioSpec& spec,
 
   config.stride = spec.get_size("stride", 1);
   config.site_limit = spec.get_size("site_limit", 0);
-  config.threads = spec.get_size("threads", 1);
+  config.threads = capped("threads", spec.get_size("threads", 1));
   config.batch = batch;
   config.journal = spec.get("journal");
   config.resume = spec.get_bool("resume", false);
@@ -399,7 +412,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
       config.journal = seams.journal;
       config.resume = seams.resume;
     }
-    if (seams.on_progress) config.on_progress = seams.on_progress;
     const ShardOptions shard = shard_options_from_spec(spec);
     if (shard.workers > 1) {
       result.sharded = true;
@@ -497,15 +509,9 @@ ScenarioResult run_scenario(std::string_view spec_text) {
 }
 
 SweepResult run_injection_sweep(const ScenarioSpec& spec) {
-  validate_scenario_keys(spec);
-  const ScenarioProblem problem = build_problem(spec);
-  const SweepConfig config =
-      sweep_config_from_spec(spec, problem.A.frobenius_norm());
-  const ShardOptions shard = shard_options_from_spec(spec);
-  if (shard.workers > 1) {
-    return run_sharded_sweep(problem.A, problem.b, config, shard);
-  }
-  return run_injection_sweep(problem.A, problem.b, config);
+  ScenarioSpec sweep = spec;
+  sweep.set("sweep", "1");
+  return run_scenario(sweep).sweep;
 }
 
 } // namespace sdcgmres::experiment

@@ -50,6 +50,7 @@
 ///              divergence * ||r0|| (0 = off; typical values >= 10)
 ///   sweep      0|1  -- run the full per-site injection sweep
 ///   stride site_limit threads                       sweep parameters
+///              (threads <= 256; 0 = all hardware threads)
 ///   batch      sites solved in lockstep per worker (multi-RHS FT-GMRES;
 ///              default 1 = solo solves, results identical at any value;
 ///              batch=0 and negative batch=/inner= values are rejected up
@@ -57,11 +58,11 @@
 ///   journal    append-only checkpoint file of completed sweep points
 ///   resume     0|1  -- skip the points the journal already holds
 ///   workers    worker processes for the crash-tolerant sharded sweep
-///              (default 1 = in-process; >1 needs journal=<path>)
+///              (default 1 = in-process; >1 needs journal=<path>;
+///              at most 256)
 ///   worker_timeout  per-attempt worker deadline in seconds (0 = off)
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -167,7 +168,6 @@ struct ScenarioSeams {
   /// leaves the spec's own journal/resume keys (if any) in effect.
   std::string journal;
   bool resume = false;
-  std::function<void(std::size_t)> on_progress; ///< see SweepConfig
 };
 
 /// Run the scenario described by \p spec end to end.

@@ -8,16 +8,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
-#include "experiment/journal.hpp"
-#include "solver/registry.hpp"
+#include "experiment/prepared_sweep.hpp"
 
 namespace sdcgmres::experiment {
 
@@ -25,9 +27,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string range_journal_path(const std::string& journal, std::size_t range) {
-  return journal + ".range" + std::to_string(range);
-}
+/// Extra attempts per range before the sweep fails loudly, and the pause
+/// before attempt k+1 of a range (scaled linearly by k).
+constexpr std::size_t kMaxRetries = 3;
+constexpr double kRetryBackoffSeconds = 0.05;
 
 /// One contiguous point range and its supervision state.
 struct Range {
@@ -41,28 +44,36 @@ struct Range {
 struct RunningWorker {
   pid_t pid = -1;
   Range range;
-  Clock::time_point deadline{}; ///< zero-initialized = no deadline
-  bool has_deadline = false;
+  std::optional<Clock::time_point> deadline; ///< per-attempt, if any
 };
 
-/// The child's whole life: run the range restricted, journal-resumed
-/// sweep and exit.  Exits 0 on success and 1 on any exception (retryable
-/// up to the cap -- a transient failure heals, a deterministic one fails
-/// loudly after max_retries).  Uses _Exit so the child never runs the
-/// parent's atexit handlers or flushes its duplicated stdio buffers.
-[[noreturn]] void run_child(const sparse::CsrMatrix& A, const la::Vector& b,
-                            const SweepConfig& config, const Range& range,
-                            const ShardOptions& shard) {
+Clock::duration after(double seconds) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(seconds));
+}
+
+/// The child's whole life: solve \p pending into the range journal and
+/// exit.  It dies with the parent (PR_SET_PDEATHSIG; the getppid check
+/// covers a parent that died before the prctl).  Exits 0 on success and
+/// 1 on any exception (retryable up to the cap -- a transient failure
+/// heals, a deterministic one fails loudly after kMaxRetries).  Uses _Exit
+/// so the child never runs the parent's atexit handlers or flushes its
+/// duplicated stdio buffers.
+[[noreturn]] void run_child(detail::PreparedSweep& prep,
+                            const sparse::CsrMatrix& A, const la::Vector& b,
+                            const Range& range,
+                            const std::vector<std::size_t>& pending,
+                            const SweepRunningStats& resumed,
+                            const ShardDrill& drill, pid_t parent) {
+#ifdef __linux__
+  (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+  if (::getppid() != parent) std::_Exit(1);
   try {
-    SweepConfig c = config;
-    c.journal = range_journal_path(config.journal, range.index);
-    c.resume = true; // pick up what the previous attempt already flushed
-    c.point_offset = range.first;
-    c.point_count = range.count;
-    const ShardDrill& drill = shard.drill;
+    std::function<void(std::size_t)> on_flush;
     if (drill.range == range.index &&
         (range.attempts == 0 || drill.every_attempt)) {
-      c.on_progress = [&drill](std::size_t completed) {
+      on_flush = [&drill](std::size_t completed) {
         if (completed < drill.after_points) return;
         if (drill.stall) {
           // Hang past any worker_timeout; the parent must SIGKILL us.
@@ -71,7 +82,9 @@ struct RunningWorker {
         (void)::raise(SIGKILL); // die mid-range, journal already flushed
       };
     }
-    (void)run_injection_sweep(A, b, c);
+    detail::solve_points(prep, A, b, pending,
+                         range_journal_path(prep.config.journal, range.index),
+                         resumed, on_flush);
     std::_Exit(0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep shard %zu (points %zu..%zu): %s\n",
@@ -88,7 +101,6 @@ struct RunningWorker {
 SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
                               const SweepConfig& config,
                               const ShardOptions& shard, ShardReport* report) {
-  validate_sweep_config(config);
   if (shard.workers == 0) {
     throw std::invalid_argument("run_sharded_sweep: workers must be >= 1");
   }
@@ -97,81 +109,14 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
         "run_sharded_sweep: a journal path is required (per-range journals "
         "and the merged result derive from it); set journal=<path>");
   }
-  if (config.point_offset != 0 || config.point_count != 0) {
-    throw std::invalid_argument(
-        "run_sharded_sweep: point_offset/point_count are owned by the "
-        "shard layer; restrict the sweep with site_limit/stride instead");
-  }
 
-  SweepResult result;
-
-  // --- Execution backend: resolved ONCE in the parent, before any fork.
-  // The shared_ptr lands in every child's copied address space, so one
-  // assembly (e.g. a SELL structure) serves the baseline and all worker
-  // processes without per-child re-sorting.
-  SweepConfig cfg = config;
-  if (!cfg.backend) {
-    cfg.backend = solver::backend_registry().make(cfg.backend_key, A);
-  }
-
-  // --- The parent's only solve: the pinned failure-free baseline, which
-  // fixes the point count and the journal header.  (1-thread OpenMP
-  // region: no helper threads exist when we fork below.)
-  const std::unique_ptr<krylov::LinearOperator> baseline_op =
-      cfg.backend->make_operator(A);
-  const krylov::FtGmresResult baseline =
-      run_baseline(*baseline_op, b, config.solver);
-  result.baseline_outer = baseline.outer_iterations;
-  result.baseline_total_inner = baseline.total_inner_iterations;
-  result.baseline_converged =
-      baseline.status == krylov::SolveStatus::Converged ||
-      baseline.status == krylov::SolveStatus::HappyBreakdown;
-  result.baseline_global_syncs = baseline.global_syncs;
-
-  std::size_t last_site = result.baseline_total_inner;
-  if (config.site_limit > 0) last_site = std::min(last_site, config.site_limit);
-  const std::size_t n_points =
-      (last_site + config.stride - 1) / config.stride;
-  if (n_points == 0) {
-    throw std::invalid_argument(
-        "run_sharded_sweep: the site_limit/stride combination selects zero "
-        "injection sites");
-  }
-  result.points.resize(n_points);
-
-  const SweepJournalHeader header{
-      .version = 2,
-      .baseline_outer = result.baseline_outer,
-      .baseline_total_inner = result.baseline_total_inner,
-      .baseline_converged = result.baseline_converged,
-      .n_points = n_points,
-      .stride = config.stride,
-      .site_limit = config.site_limit,
-  };
-
-  // --- Resuming an interrupted sharded run: split the merged top-level
-  // journal's completed points back out into the per-range journals the
-  // workers will resume from.  A fresh run seeds header-only range
-  // journals (clobbering stale ones from older runs).
-  std::vector<std::pair<std::size_t, SweepPoint>> already_done;
-  if (config.resume) {
-    SweepJournalContents loaded = SweepJournal::load(config.journal);
-    if (loaded.has_header && loaded.header != header) {
-      throw std::invalid_argument(
-          "run_sharded_sweep: journal '" + config.journal +
-          "' was written for a different sweep (header mismatch); delete "
-          "it or fix the scenario");
-    }
-    for (const auto& [index, point] : loaded.points) {
-      if (index >= n_points) {
-        throw std::invalid_argument(
-            "run_sharded_sweep: journal '" + config.journal +
-            "' holds point index " + std::to_string(index) +
-            " out of range (header mismatch)");
-      }
-    }
-    already_done = std::move(loaded.points);
-  }
+  // --- The sweep's one preamble, in the parent: the pinned baseline (a
+  // 1-thread OpenMP region, so no helper threads exist when we fork), the
+  // point count, and the journal -- a resume has folded in every range
+  // journal a dead parent left.  The children inherit all of it.
+  detail::PreparedSweep prep = detail::prepare_sweep(A, b, config);
+  const std::string& journal = prep.config.journal;
+  const std::size_t n_points = prep.done.size();
 
   const std::size_t n_ranges = std::min(shard.workers, n_points);
   std::vector<Range> queue;
@@ -180,18 +125,9 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
     // Contiguous split, remainder spread over the leading ranges.
     const std::size_t base = n_points / n_ranges;
     const std::size_t extra = n_points % n_ranges;
-    const std::size_t count = base + (r < extra ? 1 : 0);
-    const std::size_t first = r * base + std::min(r, extra);
-    Range range{.index = r, .first = first, .count = count};
-    std::vector<std::pair<std::size_t, SweepPoint>> mine;
-    for (const auto& entry : already_done) {
-      if (entry.first >= first && entry.first < first + count) {
-        mine.push_back(entry);
-      }
-    }
-    SweepJournal::write_merged(range_journal_path(config.journal, r), header,
-                               mine);
-    queue.push_back(range);
+    queue.push_back({.index = r,
+                     .first = r * base + std::min(r, extra),
+                     .count = base + (r < extra ? 1 : 0)});
   }
 
   ShardReport local_report;
@@ -223,23 +159,32 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
           continue;
         }
         const Range range = queue[q];
-        queue.erase(queue.begin() +
-                    static_cast<std::ptrdiff_t>(q));
+        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(q));
+        // A retry resumes what the dead attempt flushed: the range journal
+        // is compacted (dropping a torn tail) and its points are skipped.
+        // First attempts spawn in index order, which creates the range
+        // journals in that order (see journal_range_paths).
+        const std::string path = range_journal_path(journal, range.index);
+        const SweepJournalContents mine = prep.fold(path);
+        SweepJournal::write_merged(path, prep.header, mine.points,
+                                   mine.has_stats ? &mine.stats : nullptr);
+        const std::vector<std::size_t> pending =
+            prep.pending(range.first, range.count);
+        if (pending.empty()) continue;
+        const pid_t parent = ::getpid();
         const pid_t pid = ::fork();
         if (pid < 0) {
           throw std::runtime_error(
               std::string("run_sharded_sweep: fork failed: ") +
               std::strerror(errno));
         }
-        if (pid == 0) run_child(A, b, cfg, range, shard); // never returns
+        if (pid == 0) {
+          run_child(prep, A, b, range, pending, mine.stats, shard.drill,
+                    parent);
+        }
         RunningWorker worker{.pid = pid, .range = range};
         if (shard.worker_timeout_seconds > 0.0) {
-          worker.deadline =
-              Clock::now() +
-              std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(
-                      shard.worker_timeout_seconds));
-          worker.has_deadline = true;
+          worker.deadline = Clock::now() + after(shard.worker_timeout_seconds);
         }
         running.push_back(worker);
       }
@@ -247,9 +192,9 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
       // Deadlines: SIGKILL overrunning workers; the reap below observes
       // the signal exit and re-queues like any other crash.
       for (RunningWorker& w : running) {
-        if (w.has_deadline && Clock::now() >= w.deadline) {
+        if (w.deadline && Clock::now() >= *w.deadline) {
           (void)::kill(w.pid, SIGKILL);
-          w.has_deadline = false; // kill once
+          w.deadline.reset(); // kill once
           ++local_report.timeouts;
         }
       }
@@ -268,7 +213,7 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
           if (!ok) {
             ++local_report.worker_crashes;
             ++range.attempts;
-            if (range.attempts > shard.max_retries) {
+            if (range.attempts > kMaxRetries) {
               kill_all();
               throw std::runtime_error(
                   "run_sharded_sweep: range " + std::to_string(range.index) +
@@ -279,11 +224,8 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
             }
             ++local_report.ranges_requeued;
             range.not_before =
-                Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(
-                        shard.retry_backoff_seconds *
-                        static_cast<double>(range.attempts)));
+                Clock::now() + after(kRetryBackoffSeconds *
+                                     static_cast<double>(range.attempts));
             queue.push_back(range);
           }
         }
@@ -296,43 +238,35 @@ SweepResult run_sharded_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
     throw;
   }
 
-  // --- Deterministic merge: per-range journals -> points by index.  The
-  // merge trusts only the journals (never parent-side memory), which is
+  // --- Deterministic merge: the range journals -> points by index, and
+  // their last stats records onto the traffic the preamble restored.  The
+  // merge trusts only the journals (never a child's memory), which is
   // exactly what makes a kill -9 invisible in the final result.
+  SweepRunningStats total = prep.restored;
+  for (std::size_t r = 0; r < n_ranges; ++r) {
+    total.traffic += prep.fold(range_journal_path(journal, r)).stats.traffic;
+  }
   std::vector<std::pair<std::size_t, SweepPoint>> merged;
   merged.reserve(n_points);
-  std::vector<char> seen(n_points, 0);
-  for (std::size_t r = 0; r < n_ranges; ++r) {
-    const std::string path = range_journal_path(config.journal, r);
-    const SweepJournalContents contents = SweepJournal::load(path);
-    if (!contents.has_header || contents.header != header) {
-      throw std::runtime_error("run_sharded_sweep: range journal '" + path +
-                               "' lost its header during the run");
-    }
-    for (const auto& [index, point] : contents.points) {
-      if (seen[index] == 0) merged.emplace_back(index, point);
-      seen[index] = 1;
-      result.points[index] = point; // duplicates: last occurrence wins
-    }
-  }
   for (std::size_t i = 0; i < n_points; ++i) {
-    if (seen[i] == 0) {
+    if (prep.done[i] == 0) {
       throw std::runtime_error(
           "run_sharded_sweep: merged journals are missing point " +
           std::to_string(i) + " although every range completed");
     }
+    merged.emplace_back(i, prep.result.points[i]);
   }
-  // Publish the merged journal (sorted by index) and drop the range files.
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b2) { return a.first < b2.first; });
-  for (auto& [index, point] : merged) point = result.points[index];
-  SweepJournal::write_merged(config.journal, header, merged);
-  for (std::size_t r = 0; r < n_ranges; ++r) {
-    (void)::unlink(range_journal_path(config.journal, r).c_str());
+  // Publish the merged journal, with the total traffic as its stats
+  // record so a later resume restores it, and drop the range files.
+  total.points_done = n_points;
+  prep.result.operator_stats = total.traffic;
+  SweepJournal::write_merged(journal, prep.header, merged, &total);
+  for (std::size_t r = n_ranges; r-- > 0;) { // see journal_range_paths
+    (void)::unlink(range_journal_path(journal, r).c_str());
   }
 
   if (report != nullptr) *report = local_report;
-  return result;
+  return std::move(prep.result);
 }
 
 } // namespace sdcgmres::experiment

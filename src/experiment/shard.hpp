@@ -2,18 +2,23 @@
 /// \file shard.hpp
 /// \brief Crash-tolerant process sharding of an injection sweep.
 ///
-/// run_sharded_sweep forks worker processes over contiguous point ranges
-/// of a sweep.  Each worker runs run_injection_sweep restricted to its
-/// range, journaling every completed point into a per-range journal file
-/// (see experiment/journal.hpp); the parent monitors the children and
-/// re-queues the range of any worker that exits abnormally -- crash,
-/// signal (SIGKILL included), or a worker_timeout deadline -- with a
-/// capped retry count and backoff.  A re-run worker RESUMES its range
-/// journal, so it only re-solves the points the dead attempt had not yet
-/// flushed.  When all ranges complete, the parent merges the range
-/// journals deterministically by point index into one SweepResult (and
-/// one merged journal file), so the final result is bitwise identical to
-/// a serial run no matter how many workers died along the way.
+/// run_sharded_sweep runs the sweep's preamble once, in the parent: the
+/// recorded failure-free baseline, the point count and the journal (see
+/// experiment/prepared_sweep.hpp).  It then forks worker processes over
+/// contiguous point ranges.  Each worker inherits the prepared sweep and
+/// only runs the block loop over its range's pending points, journaling
+/// every completed point into a per-range journal file
+/// (`<journal>.range<K>`, see experiment/journal.hpp).  The parent
+/// monitors the children and re-queues the range of any worker that exits
+/// abnormally -- crash, signal (SIGKILL included), or a worker_timeout
+/// deadline -- with a capped retry count and backoff.  A re-run worker
+/// skips the points the dead attempt had flushed to its range journal.
+/// When all ranges complete, the parent merges the range journals
+/// deterministically by point index into one SweepResult (and one merged
+/// journal file), so the final result is bitwise identical to a serial
+/// run no matter how many workers died along the way.  Workers die with
+/// the parent (Linux: PR_SET_PDEATHSIG), and a resume of a sweep whose
+/// parent died keeps the points its range journals hold.
 ///
 /// Because each injection-site solve is independent and deterministic
 /// (the sweep determinism contract), process sharding -- like thread
@@ -54,10 +59,6 @@ struct ShardOptions {
   double worker_timeout_seconds = 0.0; ///< per-attempt wall-clock deadline;
                                ///< an overrunning worker is SIGKILL'd and
                                ///< its range re-queued (0 = no deadline)
-  std::size_t max_retries = 3; ///< extra attempts per range before the
-                               ///< sweep fails loudly
-  double retry_backoff_seconds = 0.05; ///< pause before attempt k+1 of a
-                               ///< range, scaled linearly by k
   ShardDrill drill;            ///< test-only crash drill (default: none)
 };
 
@@ -75,14 +76,13 @@ struct ShardReport {
 /// Run \p config's sweep sharded over ShardOptions::workers processes.
 /// Requires a non-empty config.journal: the per-range journals live at
 /// `<journal>.range<K>` and the merged journal replaces `<journal>`
-/// atomically at the end.  config.resume seeds the ranges from an
-/// existing merged journal (interrupted sharded runs resume too).
-/// config.point_offset/point_count must be 0 (the shard layer owns the
-/// range split).  Throws std::runtime_error when a range exhausts
-/// max_retries.  The returned SweepResult's points and baseline fields
-/// are bitwise identical to run_injection_sweep's serial result;
-/// operator_stats only covers the parent's baseline measurement (it is
-/// outside the determinism contract).
+/// atomically at the end.  config.resume seeds the sweep from the merged
+/// journal and any range journals an interrupted sharded run left.  Throws
+/// std::runtime_error when a range fails more than 3 retries.  The
+/// returned SweepResult's points and baseline fields are bitwise identical
+/// to run_injection_sweep's serial result.  operator_stats sums the
+/// workers' traffic (the baseline is never counted) plus what a resume
+/// restored; the merged journal's `stats` record holds the same total.
 [[nodiscard]] SweepResult run_sharded_sweep(const sparse::CsrMatrix& A,
                                             const la::Vector& b,
                                             const SweepConfig& config,

@@ -1,6 +1,7 @@
 #include "experiment/sweep.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -14,7 +15,7 @@
 #include <omp.h>
 #endif
 
-#include "experiment/journal.hpp"
+#include "experiment/prepared_sweep.hpp"
 #include "krylov/operator.hpp"
 #include "krylov/workspace.hpp"
 #include "solver/registry.hpp"
@@ -115,24 +116,23 @@ void run_pinned(Fn&& fn) {
   if (error) std::rethrow_exception(error);
 }
 
-} // namespace
-
-krylov::FtGmresResult run_baseline(const sparse::CsrMatrix& A,
-                                   const la::Vector& b,
-                                   const krylov::FtGmresOptions& opts) {
-  // Pinned like every sweep solve, so run_baseline always agrees with
-  // run_injection_sweep's baseline fields exactly.
+/// The failure-free solve over a CSR matrix or a backend operator, pinned
+/// like every sweep solve so run_baseline always agrees with the sweep's
+/// baseline fields exactly.
+template <typename Matrix>
+krylov::FtGmresResult pinned_baseline(const Matrix& A, const la::Vector& b,
+                                      const krylov::FtGmresOptions& opts) {
   krylov::FtGmresResult baseline;
   run_pinned([&] { baseline = krylov::ft_gmres(A, b, opts, nullptr); });
   return baseline;
 }
 
-krylov::FtGmresResult run_baseline(const krylov::LinearOperator& A,
+} // namespace
+
+krylov::FtGmresResult run_baseline(const sparse::CsrMatrix& A,
                                    const la::Vector& b,
                                    const krylov::FtGmresOptions& opts) {
-  krylov::FtGmresResult baseline;
-  run_pinned([&] { baseline = krylov::ft_gmres(A, b, opts, nullptr); });
-  return baseline;
+  return pinned_baseline(A, b, opts);
 }
 
 namespace {
@@ -173,31 +173,6 @@ sdc::InjectionPlan sweep_plan(const SweepConfig& config, std::size_t site) {
   return plan;
 }
 
-/// The failure-free run every site forks from: the baseline, recorded at
-/// each outer boundary with the sweep's detector installed, and the number
-/// of leading boundaries a faulted solve may start from.
-struct ForkBase {
-  krylov::FtGmresTrajectory trajectory;
-  std::size_t usable = 0;
-
-  /// Where the site's solve starts: the last usable boundary before its
-  /// aggregate iteration.  Boundary 0 is a plain start from zero.
-  [[nodiscard]] krylov::FtGmresStart start_for(std::size_t site) const {
-    std::size_t k = 0;
-    while (k + 1 < usable && trajectory.hook_iterations[k + 1] <= site) ++k;
-    if (k == 0) return {};
-    return {.trajectory = &trajectory, .boundary = k};
-  }
-
-  /// The aggregate inner iterations a solve starting at \p start skips:
-  /// its fault campaign's seed.
-  [[nodiscard]] std::size_t skipped(const krylov::FtGmresStart& start) const {
-    return start.trajectory == nullptr
-               ? 0
-               : trajectory.hook_iterations[start.boundary];
-  }
-};
-
 /// Run the failure-free baseline and record \p base from it.  Up to its
 /// site, a faulted solve sees the hook events of this run, so a site may
 /// start at any boundary the run reached before its detector first fired
@@ -208,9 +183,9 @@ struct ForkBase {
 krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
                                             const la::Vector& b,
                                             const SweepConfig& config,
-                                            ForkBase& base) {
+                                            detail::ForkBase& base) {
   if (config.solver.outer.deadline_seconds > 0.0) {
-    return run_baseline(A, b, config.solver);
+    return pinned_baseline(A, b, config.solver);
   }
   std::unique_ptr<sdc::HessenbergBoundDetector> detector;
   if (config.with_detector) {
@@ -226,7 +201,7 @@ krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
   if (detector && detector->triggered()) {
     base.usable = std::min(base.usable,
                            detector->log().events().front().solve_index + 1);
-    return run_baseline(A, b, config.solver);
+    return pinned_baseline(A, b, config.solver);
   }
   return baseline;
 }
@@ -246,7 +221,7 @@ krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
 /// state (campaigns, detectors, event logs, solver workspace) is owned by
 /// the caller's thread.
 void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
-               const SweepConfig& config, const ForkBase& base,
+               const SweepConfig& config, const detail::ForkBase& base,
                std::span<const std::size_t> point_indices, SweepPoint* points,
                std::vector<la::Vector>& xs) {
   const std::size_t count = point_indices.size();
@@ -312,47 +287,72 @@ void validate_sweep_config(const SweepConfig& config) {
   }
 }
 
-SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
-                                const la::Vector& b,
-                                const SweepConfig& config) {
+namespace detail {
+
+std::vector<std::size_t> PreparedSweep::pending(std::size_t first,
+                                                std::size_t count) const {
+  std::vector<std::size_t> out;
+  out.reserve(count);
+  for (std::size_t i = first; i < first + count; ++i) {
+    if (done[i] == 0) out.push_back(i);
+  }
+  return out;
+}
+
+SweepJournalContents PreparedSweep::fold(const std::string& path) {
+  SweepJournalContents loaded = SweepJournal::load(path);
+  if (loaded.has_header && loaded.header != header) {
+    throw std::invalid_argument(
+        "run_injection_sweep: journal '" + path +
+        "' was written for a different sweep (header mismatch); "
+        "delete it or fix the scenario");
+  }
+  for (const auto& [index, point] : loaded.points) {
+    if (index >= header.n_points) {
+      throw std::invalid_argument(
+          "run_injection_sweep: journal '" + path + "' holds point index " +
+          std::to_string(index) + " but this sweep has only " +
+          std::to_string(header.n_points) + " points (header mismatch)");
+    }
+    result.points[index] = point; // duplicates: last occurrence wins
+    done[index] = 1;
+  }
+  return loaded;
+}
+
+PreparedSweep prepare_sweep(const sparse::CsrMatrix& A, const la::Vector& b,
+                            const SweepConfig& config) {
   validate_sweep_config(config);
+  PreparedSweep prep;
+  SweepConfig& cfg = prep.config;
+  SweepResult& result = prep.result;
 
   // The detector response carries the recovery policy: any response
   // beyond record/abort translates onto the nested solver's
   // InnerRecovery (sdc::inner_recovery_for).  Runs where no detector
   // fires are bitwise identical at every policy.
-  SweepConfig cfg = config;
+  cfg = config;
   if (cfg.with_detector) {
     const krylov::InnerRecovery rec =
         sdc::inner_recovery_for(cfg.detector_response);
     if (rec != krylov::InnerRecovery::None) cfg.solver.recovery = rec;
   }
 
-  SweepResult result;
-
-  // Determinism contract: every kernel reduction is bitwise independent
-  // of the OpenMP thread count, and points merge by site, so a sweep at
-  // threads == N is bitwise identical to threads == 1: same points, same
-  // order, same doubles.  The sweep owns the parallelism: every solve
-  // (baseline included) runs inside a sweep-created OpenMP region with its
-  // per-thread kernel threading pinned to 1 (a tuning choice; nthreads-var
-  // is a per-region ICV, so the pin dies with the region).
-
   // --- Execution backend: one assembly serves the baseline and every
-  // worker (each worker still gets its OWN thin operator so traffic
-  // counters stay per-worker).  Every backend is bitwise identical to
-  // csr per solve, so the determinism contract above is unaffected.
-  const std::shared_ptr<const krylov::MatrixBackend> backend =
-      cfg.backend ? cfg.backend
-                  : solver::backend_registry().make(cfg.backend_key, A);
+  // worker thread and process (each worker still gets its OWN thin
+  // operator so traffic counters stay per-worker).  Every backend is
+  // bitwise identical to csr per solve, so the determinism contract is
+  // unaffected.
+  if (!cfg.backend) {
+    cfg.backend = solver::backend_registry().make(cfg.backend_key, A);
+  }
 
   // --- Failure-free baseline: learns the injection-site count and
   // records the outer boundaries the sites fork from. ---
   const std::unique_ptr<krylov::LinearOperator> baseline_op =
-      backend->make_operator(A);
-  ForkBase base;
+      cfg.backend->make_operator(A);
   const krylov::FtGmresResult baseline =
-      run_recorded_baseline(*baseline_op, b, cfg, base);
+      run_recorded_baseline(*baseline_op, b, cfg, prep.base);
   result.baseline_outer = baseline.outer_iterations;
   result.baseline_total_inner = baseline.total_inner_iterations;
   result.baseline_converged =
@@ -375,12 +375,12 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
         ", stride=" + std::to_string(cfg.stride) + ")");
   }
   result.points.resize(n_points);
+  prep.done.assign(n_points, 0);
 
-  // --- Checkpoint/resume: load the journal, mark completed points, and
-  // open the append writer.  The journaled header must match the live
+  // --- Checkpoint/resume.  The journaled header must match the live
   // sweep's measured shape -- resuming some OTHER sweep's journal would
   // silently poison the merged result.
-  const SweepJournalHeader header{
+  prep.header = {
       .version = 2,
       .baseline_outer = result.baseline_outer,
       .baseline_total_inner = result.baseline_total_inner,
@@ -389,76 +389,61 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
       .stride = cfg.stride,
       .site_limit = cfg.site_limit,
   };
-  std::vector<char> done(n_points, 0);
-  std::optional<SweepJournal> writer;
-  // Traffic baseline restored from the journal's last stats record: the
-  // counters the previous incarnation(s) paid for the already-journaled
-  // points.  Folding it into operator_stats makes a resumed run's totals
-  // -- and hence the result JSON -- bitwise identical to an uninterrupted
-  // run (each completed point's traffic is counted exactly once; partial
-  // work a crash destroyed was never published and is re-solved in full).
-  krylov::OperatorStats resumed_traffic;
-  bool restore_stats = false;
   if (!cfg.journal.empty()) {
+    // A resume folds in the range journals a dead sharded parent left
+    // behind, so their points are not re-solved.  The restored traffic is
+    // the sum of the journals' last stats records: what previous
+    // incarnations paid for the journaled points.  Folding it into
+    // operator_stats makes a resumed run's totals -- and hence the result
+    // JSON -- identical to an uninterrupted run (partial work a crash
+    // destroyed was never published and is re-solved in full).
+    const std::vector<std::string> ranges = journal_range_paths(cfg.journal);
+    std::vector<std::pair<std::size_t, SweepPoint>> journaled;
+    bool restore_stats = false;
     if (cfg.resume) {
-      SweepJournalContents loaded = SweepJournal::load(cfg.journal);
-      if (loaded.has_header && loaded.header != header) {
-        throw std::invalid_argument(
-            "run_injection_sweep: journal '" + cfg.journal +
-            "' was written for a different sweep (header mismatch); "
-            "delete it or fix the scenario");
-      }
-      for (const auto& [index, point] : loaded.points) {
-        if (index >= n_points) {
-          throw std::invalid_argument(
-              "run_injection_sweep: journal '" + cfg.journal +
-              "' holds point index " + std::to_string(index) +
-              " but this sweep has only " + std::to_string(n_points) +
-              " points (header mismatch)");
+      std::vector<std::string> paths{cfg.journal};
+      paths.insert(paths.end(), ranges.begin(), ranges.end());
+      for (const std::string& path : paths) {
+        const SweepJournalContents loaded = prep.fold(path);
+        journaled.insert(journaled.end(), loaded.points.begin(),
+                         loaded.points.end());
+        if (loaded.has_stats) {
+          prep.restored.traffic += loaded.stats.traffic;
+          restore_stats = true;
         }
-        result.points[index] = point; // duplicates: last occurrence wins
-        done[index] = 1;
       }
-      if (loaded.has_stats) {
-        resumed_traffic = loaded.stats.traffic;
-        restore_stats = true;
-      }
-      // Compact before appending: drops a crash-truncated tail line so
-      // new records start on a clean line, and dedups re-queued ranges.
-      SweepJournal::write_merged(cfg.journal, header, loaded.points);
-    } else {
-      // Fresh run: truncate any stale journal down to the header.
-      SweepJournal::write_merged(cfg.journal, header, {});
     }
-    writer.emplace(cfg.journal);
+    prep.restored.points_done = static_cast<std::size_t>(
+        std::count(prep.done.begin(), prep.done.end(), static_cast<char>(1)));
+    // Compact (a fresh run truncates to the header): drops a
+    // crash-truncated tail line so new records start on a clean line, and
+    // carries the restored stats record so a second crash still restores
+    // it.  Only then are the folded range journals redundant.
+    SweepJournal::write_merged(cfg.journal, prep.header, journaled,
+                               restore_stats ? &prep.restored : nullptr);
+    for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
+      (void)std::remove(it->c_str());
+    }
   }
-  result.operator_stats = resumed_traffic;
-  const std::size_t journaled_points = static_cast<std::size_t>(
-      std::count(done.begin(), done.end(), static_cast<char>(1)));
-  if (writer && restore_stats) {
-    // write_merged's compaction dropped the stats lines; re-seed the
-    // restored baseline record so a tailing reader keeps seeing the
-    // cumulative traffic and a second crash still restores correctly.
-    SweepRunningStats restored;
-    restored.points_done = journaled_points;
-    restored.traffic = resumed_traffic;
-    writer->append_stats(restored);
-    writer->flush();
-  }
+  result.operator_stats = prep.restored.traffic;
+  return prep;
+}
 
-  // --- Range restriction (the shard seam): this run solves only the
-  // pending points inside [point_offset, point_offset + point_count).
-  const std::size_t first_point = std::min(cfg.point_offset, n_points);
-  const std::size_t range_count =
-      cfg.point_count == 0
-          ? n_points - first_point
-          : std::min(cfg.point_count, n_points - first_point);
-  std::vector<std::size_t> pending;
-  pending.reserve(range_count);
-  for (std::size_t i = first_point; i < first_point + range_count; ++i) {
-    if (done[i] == 0) pending.push_back(i);
-  }
+void solve_points(PreparedSweep& prep, const sparse::CsrMatrix& A,
+                  const la::Vector& b, std::span<const std::size_t> pending,
+                  const std::string& journal, const SweepRunningStats& resumed,
+                  const std::function<void(std::size_t)>& on_flush) {
+  const SweepConfig& cfg = prep.config;
+  std::optional<SweepJournal> writer;
+  if (!journal.empty()) writer.emplace(journal);
 
+  // Determinism contract: every kernel reduction is bitwise independent
+  // of the OpenMP thread count, and points merge by site, so a sweep at
+  // threads == N is bitwise identical to threads == 1: same points, same
+  // order, same doubles.  The sweep owns the parallelism: every solve
+  // runs inside a sweep-created OpenMP region with its per-thread kernel
+  // threading pinned to 1 (a tuning choice; nthreads-var is a per-region
+  // ICV, so the pin dies with the region).
   int workers = 1;
 #ifdef _OPENMP
   workers = cfg.threads == 0 ? omp_get_max_threads()
@@ -473,10 +458,10 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
   const std::size_t batch = cfg.batch;
   const std::size_t n_blocks = (pending.size() + batch - 1) / batch;
 
-  SweepPoint* points = result.points.data();
+  SweepPoint* points = prep.result.points.data();
   // Journal-level progress: already-journaled points plus what this run
   // flushes, so the stats records stay cumulative across resumes.
-  std::size_t completed = journaled_points;
+  std::size_t completed = resumed.points_done;
   // Per-worker traffic snapshots, published under the journal critical
   // section so each flush can append a cumulative `stats` progress record
   // (the journal doubles as the job's live progress stream).
@@ -492,10 +477,12 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
     // workspace (per-instance slots + staging blocks) makes every solve
     // after the worker's first block allocation-free on the iteration path.
     const std::unique_ptr<krylov::LinearOperator> op_ptr =
-        backend->make_operator(A);
+        cfg.backend->make_operator(A);
     const krylov::LinearOperator& op = *op_ptr;
     solver::FtGmresSolver ft(op, cfg.solver);
-    std::vector<la::Vector> xs(batch, la::Vector(b.size()));
+    // No block is larger than the pending list, whatever batch says.
+    std::vector<la::Vector> xs(std::min(batch, pending.size()),
+                               la::Vector(b.size()));
 #pragma omp for schedule(dynamic)
     for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(n_blocks);
          ++idx) {
@@ -504,7 +491,7 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
         const std::size_t count = std::min(batch, pending.size() - first);
         const std::span<const std::size_t> block(pending.data() + first,
                                                  count);
-        run_block(ft, b, cfg, base, block, points, xs);
+        run_block(ft, b, cfg, prep.base, block, points, xs);
         if (writer) {
           // Serialize journal traffic; each flush is a durability point
           // (these records survive a SIGKILL of this process).
@@ -528,13 +515,13 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
             worker_stats[static_cast<std::size_t>(tid)] = mine;
             SweepRunningStats running;
             running.points_done = completed;
-            running.traffic = resumed_traffic;
+            running.traffic = resumed.traffic;
             for (const krylov::OperatorStats& ws : worker_stats) {
               running.traffic += ws;
             }
             writer->append_stats(running);
             writer->flush();
-            if (cfg.on_progress) cfg.on_progress(completed);
+            if (on_flush) on_flush(completed);
           }
         }
       } catch (...) {
@@ -546,20 +533,27 @@ SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
     }
     // Each worker counted its own operator's traffic; the sum of counters
     // is order-independent, so the merged stats are deterministic too.
-    // (A resumed sweep adds its re-executed solves on top of the baseline
-    // restored from the journal's last stats record, so the totals match
-    // an uninterrupted run exactly.)  On mixed precision/index
-    // configurations the inner solves stream the narrowed mirror instead
-    // of the operator, so its counters are folded in too -- bytes then
-    // reflect the compressed traffic actually paid.
+    // On mixed precision/index configurations the inner solves stream the
+    // narrowed mirror instead of the operator, so its counters are folded
+    // in too -- bytes then reflect the compressed traffic actually paid.
 #pragma omp critical(sdcgmres_sweep_stats)
     {
-      result.operator_stats += op.stats();
-      result.operator_stats += ft.mixed_stats();
+      prep.result.operator_stats += op.stats();
+      prep.result.operator_stats += ft.mixed_stats();
     }
   }
   if (error) std::rethrow_exception(error);
-  return result;
+}
+
+} // namespace detail
+
+SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
+                                const la::Vector& b,
+                                const SweepConfig& config) {
+  detail::PreparedSweep prep = detail::prepare_sweep(A, b, config);
+  detail::solve_points(prep, A, b, prep.pending(0, prep.done.size()),
+                       prep.config.journal, prep.restored);
+  return std::move(prep.result);
 }
 
 } // namespace sdcgmres::experiment

@@ -23,7 +23,6 @@
 /// not deterministic) disables it.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -106,30 +105,22 @@ struct SweepConfig {
                                     ///< the fork into shard workers);
                                     ///< null = assemble from backend_key
 
-  // --- resilience: checkpoint/resume and range restriction ---
+  // --- resilience: checkpoint/resume ---
   std::string journal;              ///< path of the sweep journal (JSONL,
                                     ///< see experiment/journal.hpp); every
                                     ///< completed point is appended and
                                     ///< fsync'd, so a crashed sweep loses
                                     ///< at most in-flight solves.  Empty
                                     ///< disables journaling.
-  bool resume = false;              ///< load `journal` first and skip the
-                                    ///< points it already holds; the
+  bool resume = false;              ///< load `journal` first, with any
+                                    ///< `<journal>.range<K>` a dead
+                                    ///< sharded run left, and skip the
+                                    ///< points they already hold; the
                                     ///< resumed SweepResult is bitwise
                                     ///< identical (points and baseline
                                     ///< fields) to an uninterrupted run.
                                     ///< A missing journal file is a fresh
                                     ///< start, not an error.
-  std::size_t point_offset = 0;     ///< first point index this run solves
-                                    ///< (the shard seam: a worker process
-                                    ///< owns points [offset, offset+count))
-  std::size_t point_count = 0;      ///< number of points from point_offset
-                                    ///< (0 = through the end)
-  std::function<void(std::size_t)> on_progress; ///< called after each
-                                    ///< journal flush with the cumulative
-                                    ///< number of points this run solved
-                                    ///< (crash drills and progress bars;
-                                    ///< serialized, never concurrent)
 };
 
 /// Outcome of one faulty solve.
@@ -237,9 +228,10 @@ void validate_sweep_config(const SweepConfig& config);
 /// injection site.  \p b is the right-hand side; the initial guess is zero
 /// for every run (paper: "same matrix, right-hand side, and initial
 /// guess"), and each faulty solve forks from the recorded baseline at its
-/// last outer boundary, which yields the same point.  Throws std::invalid_argument when validate_sweep_config
-/// rejects \p config or when the site_limit/stride combination selects
-/// zero injection sites against the measured baseline.
+/// last outer boundary, which yields the same point.  Throws
+/// std::invalid_argument when validate_sweep_config rejects \p config or
+/// when the site_limit/stride combination selects zero injection sites
+/// against the measured baseline.
 [[nodiscard]] SweepResult run_injection_sweep(const sparse::CsrMatrix& A,
                                               const la::Vector& b,
                                               const SweepConfig& config);
@@ -252,14 +244,6 @@ void validate_sweep_config(const SweepConfig& config);
 /// Just the failure-free baseline (also used by examples).
 [[nodiscard]] krylov::FtGmresResult run_baseline(
     const sparse::CsrMatrix& A, const la::Vector& b,
-    const krylov::FtGmresOptions& opts);
-
-/// Baseline over an already-built operator (the backend-agnostic form:
-/// the sweep and shard drivers stream the configured backend here too,
-/// with the kernel pinned to one OpenMP thread exactly like the CSR
-/// overload).
-[[nodiscard]] krylov::FtGmresResult run_baseline(
-    const krylov::LinearOperator& A, const la::Vector& b,
     const krylov::FtGmresOptions& opts);
 
 } // namespace sdcgmres::experiment

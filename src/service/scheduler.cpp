@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -55,33 +54,21 @@ void accumulate_progress(experiment::SweepProgress& total,
   }
 }
 
-/// Tail \p id's progress: the merged journal once it exists, else the
-/// per-range journals a sharded run is still writing.  A live writer may
-/// be mid-append; tail_sweep_journal tolerates the unterminated tail.
+/// Tail \p id's progress: the journal plus the per-range journals a
+/// sharded run is still writing (they hold disjoint points).  A live
+/// writer may be mid-append; tail_sweep_journal tolerates the
+/// unterminated tail.
 experiment::SweepProgress job_progress(const SpoolPaths& paths,
                                        const std::string& id) {
   const std::string journal = paths.journals + "/" + id + ".jsonl";
-  if (file_exists(journal)) {
-    try {
-      return experiment::tail_sweep_journal(journal);
-    } catch (const std::exception&) {
-      return {}; // a corrupt journal reads as "no progress", not a crash
-    }
-  }
+  std::vector<std::string> journals = experiment::journal_range_paths(journal);
+  journals.insert(journals.begin(), journal);
   experiment::SweepProgress total;
-  const std::string prefix = id + ".jsonl.range";
-  std::error_code ec;
-  std::vector<std::string> ranges;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(paths.journals, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0) ranges.push_back(entry.path().string());
-  }
-  std::sort(ranges.begin(), ranges.end());
-  for (const std::string& path : ranges) {
+  for (const std::string& path : journals) {
     try {
       accumulate_progress(total, experiment::tail_sweep_journal(path));
     } catch (const std::exception&) {
+      // a corrupt journal reads as "no progress", not a crash
     }
   }
   return total;

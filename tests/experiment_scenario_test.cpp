@@ -410,6 +410,50 @@ TEST(Scenario, WorkerKeysValidate) {
                std::invalid_argument);
 }
 
+TEST(Scenario, ParallelismKeysAreCappedBeforeAnythingStarts) {
+  // Parse only: no thread or process is started by these calls.
+  const char* sweep = "sweep=1 fault=class1 ";
+  EXPECT_THROW((void)experiment::sweep_config_from_spec(
+                   ScenarioSpec::parse(std::string(sweep) + "threads=257"),
+                   1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)experiment::sweep_config_from_spec(
+                   ScenarioSpec::parse(std::string(sweep) +
+                                       "threads=4000000000"),
+                   1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)experiment::shard_options_from_spec(
+                   ScenarioSpec::parse("workers=257")),
+               std::invalid_argument);
+  EXPECT_THROW((void)experiment::shard_options_from_spec(
+                   ScenarioSpec::parse("workers=4000000000")),
+               std::invalid_argument);
+  EXPECT_EQ(experiment::sweep_config_from_spec(
+                ScenarioSpec::parse(std::string(sweep) + "threads=256"), 1.0)
+                .threads,
+            256u);
+  EXPECT_EQ(experiment::shard_options_from_spec(
+                ScenarioSpec::parse("workers=256"))
+                .workers,
+            256u);
+}
+
+TEST(Scenario, BatchAboveTheSiteCountMatchesSoloSolves) {
+  // The iterate buffers are sized by the pending points, not by batch, so
+  // a batch far beyond the 5-site sweep allocates nothing extra.
+  const char* base =
+      "matrix=poisson n=6 inner=5 site_limit=5 sweep=1 fault=class1";
+  auto solo = ScenarioSpec::parse(base);
+  solo.set("batch", "1");
+  auto huge = ScenarioSpec::parse(base);
+  huge.set("batch", "100000");
+  const auto a = experiment::run_injection_sweep(solo);
+  const auto b = experiment::run_injection_sweep(huge);
+  ASSERT_EQ(a.points.size(), 5u);
+  EXPECT_EQ(a.points, b.points);
+  EXPECT_EQ(a.operator_stats.columns(), b.operator_stats.columns());
+}
+
 TEST(Scenario, MtxErrorsNameThePath) {
   try {
     (void)experiment::run_scenario("matrix=mtx:/no/such/file.mtx");
