@@ -20,10 +20,11 @@
 /// the bytes are (the length-n streams), not in the recurrence bookkeeping
 /// that decides convergence.
 ///
-/// The triangular factor is stored as a flat column-major scratch of
-/// max_cols x max_cols scalars (leading dimension max_cols); storage is
-/// reused across reset() calls of a fitting shape, so a workspace-held
-/// factorization is allocation-free across repeated solves.
+/// The triangular factor is stored packed by column -- column j holds its
+/// j+1 upper-triangle entries, at offset j*(j+1)/2 -- and grows with
+/// add_column(), so it costs the columns a solve appends, not max_cols^2.
+/// reset() keeps the grown storage, so a workspace-held factorization is
+/// allocation-free across repeated solves that append no more columns.
 
 #include <algorithm>
 #include <cmath>
@@ -50,25 +51,24 @@ public:
   HessenbergQrT(std::size_t max_cols, S beta) { reset(max_cols, beta); }
 
   /// Restart the factorization for a new solve: capacity at least
-  /// \p max_cols (never shrinks), rhs beta*e1, zero columns.  Reuses the
-  /// existing storage when the capacity fits (no heap allocation), so a
+  /// \p max_cols (never shrinks), rhs beta*e1, zero columns.  Keeps the
+  /// existing storage (no heap allocation when the capacity fits), so a
   /// workspace-held factorization is allocation-free across repeated
-  /// solves of the same shape.
+  /// solves of the same shape.  The O(max_cols) rotation and rhs vectors
+  /// are sized here; R grows in add_column().
   void reset(std::size_t max_cols, S beta) {
     if (max_cols == 0) {
       throw std::invalid_argument("HessenbergQr: max_cols must be positive");
     }
     if (max_cols > max_cols_) {
-      // Growth reallocates; repeated resets of one shape are free.  The
-      // factor's old contents are dead once k_ returns to zero, so the
-      // buffer is simply re-zeroed at the new shape.
-      r_.assign(max_cols * max_cols, S(0));
+      // Growth reallocates; repeated resets of one shape are free.
       rotations_.reserve(max_cols);
       g_.resize(max_cols + 1);
       col_.resize(max_cols + 1);
       max_cols_ = max_cols;
     }
     k_ = 0;
+    r_.clear();
     rotations_.clear();
     std::fill(g_.begin(), g_.end(), S(0));
     g_[0] = beta;
@@ -97,10 +97,9 @@ public:
     const GivensRotationT<S> rot = make_givens<S>(col[k_], col[k_ + 1]);
     rotations_.push_back(rot);
     rot.apply(col[k_], col[k_ + 1]);
-    // Store the triangular column and rotate the rhs.
-    for (std::size_t i = 0; i <= k_; ++i) {
-      r_[i + k_ * max_cols_] = col[i];
-    }
+    // Store the triangular column (packed, k+1 entries) and rotate the rhs.
+    r_.insert(r_.end(), col.begin(),
+              col.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
     rot.apply(g_[k_], g_[k_ + 1]);
     ++k_;
     return residual_estimate();
@@ -116,8 +115,9 @@ public:
       throw std::logic_error("HessenbergQr::pop_column: no columns");
     }
     --k_;
-    // Undo the rhs rotation with the transposed (inverse) rotation; the
-    // stored R column becomes dead storage governed by k_.
+    // Drop the packed R column and undo the rhs rotation with the
+    // transposed (inverse) rotation.
+    r_.resize(packed_offset(k_));
     const GivensRotationT<S> rot = rotations_.back();
     const S a = g_[k_];
     const S b = g_[k_ + 1];
@@ -140,7 +140,7 @@ public:
     if (j >= k_ || i > j) {
       throw std::out_of_range("HessenbergQr::r: not in the upper triangle");
     }
-    return static_cast<double>(r_[i + j * max_cols_]);
+    return static_cast<double>(r_[packed_offset(j) + i]);
   }
 
   /// Leading k x k block of the triangular factor as a dense (double)
@@ -148,7 +148,7 @@ public:
   [[nodiscard]] la::DenseMatrix r_block() const {
     la::DenseMatrix out(k_, k_);
     for (std::size_t j = 0; j < k_; ++j) {
-      const S* src = r_.data() + j * max_cols_;
+      const S* src = r_.data() + packed_offset(j);
       double* dst = out.col(j);
       for (std::size_t i = 0; i <= j; ++i) {
         dst[i] = static_cast<double>(src[i]);
@@ -165,9 +165,14 @@ public:
   }
 
 private:
+  /// Start of column \p j of the packed R.
+  static constexpr std::size_t packed_offset(std::size_t j) noexcept {
+    return j * (j + 1) / 2;
+  }
+
   std::size_t max_cols_ = 0;
   std::size_t k_ = 0;
-  std::vector<S> r_;                    // max_cols x max_cols, upper part
+  std::vector<S> r_;                    // R packed by column, k(k+1)/2
   std::vector<GivensRotationT<S>> rotations_;
   std::vector<S> g_;                    // transformed rhs, length max_cols+1
   std::vector<S> col_;                  // add_column scratch, max_cols+1

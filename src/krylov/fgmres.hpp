@@ -30,7 +30,8 @@ namespace sdcgmres::krylov {
 
 /// Configuration of an FGMRES solve.
 struct FgmresOptions {
-  std::size_t max_outer = 200;  ///< outer iteration budget (also basis size)
+  std::size_t max_outer = 200;  ///< outer iteration budget (bounds the V/Z
+                                ///< arenas; memory follows the columns used)
   double tol = 1e-8;            ///< relative residual target (vs ||b||)
   Orthogonalization ortho = Orthogonalization::MGS;
   dense::LsqPolicy lsq_policy = dense::LsqPolicy::RankRevealing;
@@ -185,6 +186,8 @@ public:
   [[nodiscard]] std::size_t iteration() const noexcept { return j_; }
 
   /// What the caller's preconditioner application needs: read q, write z.
+  /// Both spans point into this engine's V/Z arenas and stay valid until
+  /// advance() or the next begin_iteration() appends to them.
   struct PrecondRequest {
     std::span<const double> q; ///< basis column q_j (read-only)
     std::size_t outer_index;   ///< outer iteration j

@@ -280,7 +280,9 @@ private:
   // b/x at the plane's scalar (q and z themselves when S is double,
   // otherwise the stable per-instance staging below) and the outer column
   // z.  The pending_* counters carry the aborted attempt's effort into the
-  // final record.
+  // final record.  q and z point into the outer V/Z arenas, which the
+  // outer engine does not append to until the inner solve (and its retry)
+  // is finished; the inner solve only grows its own workspace.
   std::span<const S> cur_q_;
   std::span<S> cur_x_;
   std::span<double> cur_z_;

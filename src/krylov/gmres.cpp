@@ -129,7 +129,6 @@ GmresEngineT<S>::GmresEngineT(std::size_t rows, std::size_t cols,
         "(set s_step=1 or drop the preconditioner)");
   }
   w_->arena.reserve(n_, cycle_len_);
-  if (s_ > 1) hmat_.assign((cycle_len_ + 1) * cycle_len_, 0.0);
 
   if (hook_ != nullptr) hook_->on_solve_begin(solve_index_);
 }
@@ -149,7 +148,7 @@ bool GmresEngineT<S>::start_cycle() {
   std::fill(hcol.begin(),
             hcol.begin() + static_cast<std::ptrdiff_t>(cycle_len_ + 2), S(0));
   if (s_ > 1) {
-    std::fill(hmat_.begin(), hmat_.end(), 0.0);
+    hmat_.clear();
     stage_count_ = 0;
     stage_idx_ = 0;
   }
@@ -473,7 +472,6 @@ bool GmresEngineT<S>::commit_block() {
   // propagates into every later column, exactly as the corrupted basis
   // would propagate it on the one-vector path.  All recovery arithmetic
   // is double (the float engine widens C and R once per block).
-  const std::size_t ldh = cycle_len_ + 1;
   hraw_.assign(k + m, 0.0);
   for (std::size_t c = 0; c < m; ++c) {
     const std::size_t jg = block_j0_ + c; // global column index
@@ -491,13 +489,13 @@ bool GmresEngineT<S>::commit_block() {
       for (std::size_t i = 0; i < k; ++i) {
         const double ci = cmat_[i + (c - 1) * k];
         if (ci == 0.0) continue;
-        const double* hi = hmat_.data() + i * ldh;
+        const double* hi = hmat_.data() + hmat_offset(i);
         for (std::size_t r = 0; r < i + 2; ++r) hraw_[r] -= ci * hi[r];
       }
       for (std::size_t t = 1; t < c; ++t) {
         const double rt = rmat_[(t - 1) + (c - 1) * m];
         if (rt == 0.0) continue;
-        const double* ht = hmat_.data() + (block_j0_ + t) * ldh;
+        const double* ht = hmat_.data() + hmat_offset(block_j0_ + t);
         for (std::size_t r = 0; r < k + t + 1; ++r) hraw_[r] -= rt * ht[r];
       }
       const double rdiag = rmat_[(c - 1) + (c - 1) * m];
@@ -532,9 +530,8 @@ bool GmresEngineT<S>::commit_block() {
 
     for (std::size_t r = 0; r < len; ++r) hcol[r] = static_cast<S>(hraw_[r]);
     const double est = w_->qr.add_column({hcol.data(), len});
-    std::copy(hraw_.begin(),
-              hraw_.begin() + static_cast<std::ptrdiff_t>(len),
-              hmat_.begin() + static_cast<std::ptrdiff_t>(jg * ldh));
+    hmat_.insert(hmat_.end(), hraw_.begin(),
+                 hraw_.begin() + static_cast<std::ptrdiff_t>(len));
     if (history_ != nullptr) history_->push_back(est);
     ++stats_.iterations;
     stats_.residual_norm = est;

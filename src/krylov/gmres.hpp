@@ -156,6 +156,9 @@ struct GmresStats {
 ///
 /// Lifetime: \p b, \p x, \p ws, and \p residual_history must outlive the
 /// engine; \p x is updated in place at the end of every restart cycle.
+/// When \p b or \p x is a column of a KrylovBasis arena (FT-GMRES: the
+/// outer V and Z columns), nothing may append to that arena while the
+/// engine runs -- growth may move its storage.
 ///
 /// Templated on the scalar type.  GmresEngineT<double> (aliased
 /// GmresEngine) is the reliable-plane engine, arithmetic unchanged from
@@ -283,6 +286,11 @@ private:
   /// one-vector path.
   bool commit_block();
 
+  /// Start of committed Hessenberg column \p j in hmat_.
+  static constexpr std::size_t hmat_offset(std::size_t j) noexcept {
+    return j * (j + 3) / 2;
+  }
+
   /// Charge \p words length-n words of basis traffic to basis_bytes.
   void add_basis_words(std::size_t words) noexcept {
     stats_.basis_bytes += words * n_ * sizeof(S);
@@ -311,11 +319,12 @@ private:
   std::size_t block_j0_ = 0;    ///< committed columns when the block began
   std::vector<double> hmat_;    ///< committed (possibly hook-mutated)
                                 ///< Hessenberg columns of this cycle,
-                                ///< column-major, ld = cycle_len_+1; the
-                                ///< block recovery recursion reads them
-                                ///< back, so corruption propagates into
-                                ///< later columns as it does on the
-                                ///< one-vector path
+                                ///< packed: column j holds j+2 entries at
+                                ///< hmat_offset(j); the block recovery
+                                ///< recursion reads them back, so
+                                ///< corruption propagates into later
+                                ///< columns as it does on the one-vector
+                                ///< path
   std::vector<S> cs_, rs_;      ///< projection coeffs / TSQR R (scalar S)
   std::vector<double> cmat_, rmat_, hraw_; ///< widened recovery buffers
   // --- lockstep product-target binding (see bind_product_target) ---

@@ -6,9 +6,9 @@
 /// candidate vector against the whole current basis.  Storing the basis as
 /// `std::vector<la::Vector>` (one heap allocation per column) forces the
 /// projection and correction to run as k separate dot/axpy kernels over
-/// scattered buffers.  KrylovBasis instead owns ONE flat buffer of
-/// rows x capacity scalars, laid out column-major with leading dimension ==
-/// rows, so that
+/// scattered buffers.  KrylovBasis instead owns ONE flat buffer holding
+/// its columns column-major, leading dimension == rows (padded, see
+/// padded_leading_dimension), so that
 ///   - the CGS/CGS2 projection is a single gemv_t over the block,
 ///   - the correction is a single gemv,
 ///   - MGS is one la::mgs pass that streams each column once per
@@ -21,20 +21,30 @@
 /// double instantiations (aliased BasisView / KrylovBasis, unchanged
 /// behaviour), the mixed-precision inner plane uses the float ones.
 ///
-/// The capacity is fixed at construction: growing would reallocate and
-/// silently invalidate column spans held by callers (solvers always know
-/// their restart length up front).  append() past capacity throws.
+/// capacity() bounds the column count: append() past it throws
+/// std::length_error.  The storage behind it grows geometrically with
+/// cols() (std::realloc of the trivially-copyable scalars), so an arena
+/// bounded by a whole iteration budget costs only the columns a solve
+/// actually appends, and clear() followed by a refill to an earlier column
+/// count never grows again.  Growth may move the buffer: a column span, a
+/// view() or data() stays valid only until the next append() to the same
+/// arena.  Grown storage needs no zero fill, because every append writes
+/// its whole column (append() zeroes it, append(v) copies v,
+/// append(v, scale) writes scale*v).
 ///
-/// clear() and pop_back() are O(1): storage past cols() is unspecified,
-/// and every append writes its whole column (append() zeroes it,
-/// append(v) copies v, append(v, scale) writes scale*v), so a restart
-/// costs nothing however many columns the cycle used.
+/// clear() and pop_back() are O(1): storage past cols() is unspecified and
+/// kept, so a restart costs nothing however many columns the cycle used.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
-#include <vector>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "la/blas1.hpp"
 #include "la/dense_matrix.hpp"
@@ -59,8 +69,8 @@ template <typename S = double>
 /// Non-owning read-only view of the leading columns of a contiguous
 /// column-major block (leading dimension >= rows).  This is what the
 /// fused kernels and the Arnoldi hook protocol consume; it is trivially
-/// copyable and valid as long as the underlying basis is alive and not
-/// shrunk below `cols` columns.
+/// copyable and valid as long as the underlying basis is alive, not
+/// shrunk below `cols` columns and not appended to (growth may move it).
 template <typename S>
 class BasisViewT {
 public:
@@ -95,14 +105,27 @@ using BasisView = BasisViewT<double>;
 /// Contiguous column-major Krylov basis arena.
 template <typename S>
 class KrylovBasisT {
+  static_assert(std::is_trivially_copyable_v<S>,
+                "KrylovBasisT grows its storage with std::realloc");
+
 public:
   KrylovBasisT() = default;
 
-  /// Arena for up to \p capacity vectors of length \p rows; allocates the
-  /// whole buffer once, zero-initialized, with zero current columns.
+  /// Arena for up to \p capacity vectors of length \p rows, with zero
+  /// current columns.  Allocates nothing: storage grows with append().
   KrylovBasisT(std::size_t rows, std::size_t capacity)
       : rows_(rows), capacity_(capacity),
-        ld_(padded_leading_dimension<S>(rows)), data_(ld_ * capacity, S(0)) {}
+        ld_(padded_leading_dimension<S>(rows)) {}
+
+  /// Move-only: a move hands the storage over and leaves the source a
+  /// valid arena of unspecified shape.
+  KrylovBasisT(KrylovBasisT&& other) noexcept { swap(other); }
+  KrylovBasisT& operator=(KrylovBasisT&& other) noexcept {
+    swap(other);
+    return *this;
+  }
+  KrylovBasisT(const KrylovBasisT&) = delete;
+  KrylovBasisT& operator=(const KrylovBasisT&) = delete;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   /// Number of columns currently in the basis.
@@ -122,7 +145,8 @@ public:
     return dst;
   }
 
-  /// Append a copy of \p v (length must equal rows()).
+  /// Append a copy of \p v (length must equal rows(); \p v must not be a
+  /// column of this arena, which growth may move).
   void append(std::span<const S> v) {
     check_length(v);
     std::span<S> dst = grow();
@@ -145,15 +169,15 @@ public:
     --cols_;
   }
 
-  /// Drop all columns; the arena stays allocated.
+  /// Drop all columns; the grown storage stays allocated.
   void clear() noexcept { cols_ = 0; }
 
   /// Column \p j as a span (no bounds check beyond debug assertions).
   [[nodiscard]] std::span<S> col(std::size_t j) noexcept {
-    return {data_.data() + j * ld_, rows_};
+    return {data() + j * ld_, rows_};
   }
   [[nodiscard]] std::span<const S> col(std::size_t j) const noexcept {
-    return {data_.data() + j * ld_, rows_};
+    return {data() + j * ld_, rows_};
   }
 
   /// Copy of column \p j as an owning vector (compat / test helper).
@@ -170,13 +194,14 @@ public:
     if (k > cols_) {
       throw std::out_of_range("KrylovBasis::view: more columns than present");
     }
-    return {data_.data(), rows_, k, ld_};
+    return {data(), rows_, k, ld_};
   }
   /// View of all current columns.
   [[nodiscard]] BasisViewT<S> view() const { return view(cols_); }
 
-  [[nodiscard]] S* data() noexcept { return data_.data(); }
-  [[nodiscard]] const S* data() const noexcept { return data_.data(); }
+  /// Start of the storage (null until the first append()).
+  [[nodiscard]] S* data() noexcept { return data_.get(); }
+  [[nodiscard]] const S* data() const noexcept { return data_.get(); }
 
   /// Dense (double) copy (rows x cols) of the current basis, for tests
   /// that measure orthonormality with the DenseMatrix helpers; float
@@ -194,12 +219,30 @@ public:
   }
 
 private:
-  /// The next column, unwritten.
+  struct Free {
+    void operator()(S* p) const noexcept { std::free(p); }
+  };
+
+  /// Columns the first growth allocates.
+  static constexpr std::size_t kFirstColumns = 4;
+
+  /// The next column, unwritten; grows the storage geometrically when
+  /// every allocated column is in use.
   std::span<S> grow() {
     if (cols_ == capacity_) {
-      throw std::length_error(
-          "KrylovBasis::append: arena full (growing would invalidate "
-          "outstanding column views)");
+      throw std::length_error("KrylovBasis::append: arena full (capacity " +
+                              std::to_string(capacity_) + " columns)");
+    }
+    if (cols_ == allocated_) {
+      const std::size_t cols =
+          std::min(capacity_, std::max(kFirstColumns, 2 * allocated_));
+      // At least one scalar: realloc(p, 0) may free p and return null.
+      S* grown = static_cast<S*>(std::realloc(
+          data_.get(), std::max(ld_ * cols, std::size_t{1}) * sizeof(S)));
+      if (grown == nullptr) throw std::bad_alloc();
+      (void)data_.release(); // realloc already freed or kept it
+      data_.reset(grown);
+      allocated_ = cols;
     }
     ++cols_;
     return col(cols_ - 1);
@@ -212,11 +255,21 @@ private:
     }
   }
 
+  void swap(KrylovBasisT& other) noexcept {
+    std::swap(rows_, other.rows_);
+    std::swap(cols_, other.cols_);
+    std::swap(capacity_, other.capacity_);
+    std::swap(ld_, other.ld_);
+    std::swap(allocated_, other.allocated_);
+    data_.swap(other.data_);
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t capacity_ = 0;
   std::size_t ld_ = 0;
-  std::vector<S> data_;
+  std::size_t allocated_ = 0; ///< columns the storage holds
+  std::unique_ptr<S, Free> data_;
 };
 
 using KrylovBasis = KrylovBasisT<double>;

@@ -89,8 +89,15 @@ CsrMatrix read_matrix_market(std::istream& in) {
             "): expected 'rows cols nnz', got '" + line + "'");
   }
 
+  // The declared count is untrusted: reserve no more than a bounded number
+  // of entries up front, so a header that over-declares fails with the
+  // truncation error below instead of std::bad_alloc.  Larger files grow
+  // the COO as their entries arrive.
+  constexpr std::size_t kMaxReservedEntries = std::size_t{1} << 20;
+  const std::size_t reserved = std::min(nnz, kMaxReservedEntries);
   CooMatrix coo(rows, cols);
-  coo.reserve(header.symmetry == Header::Symmetry::General ? nnz : 2 * nnz);
+  coo.reserve(header.symmetry == Header::Symmetry::General ? reserved
+                                                           : 2 * reserved);
   std::size_t seen = 0;
   while (seen < nnz && std::getline(in, line)) {
     ++line_no;

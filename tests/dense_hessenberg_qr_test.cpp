@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "dense/givens.hpp"
 #include "dense/hessenberg_qr.hpp"
 #include "dense/triangular.hpp"
 #include "la/blas2.hpp"
@@ -159,4 +160,71 @@ TEST(HessenbergQr, SurvivesHugeFaultyEntries) {
   const double res = qr.add_column(std::vector<double>{1.0, 1.0, 0.5});
   EXPECT_TRUE(std::isfinite(res));
   EXPECT_TRUE(std::isfinite(qr.r(0, 0)));
+}
+
+namespace {
+
+/// The incremental Givens QR with R in a dense max_cols x max_cols
+/// column-major array: the same arithmetic as HessenbergQr, stored the
+/// way it was before R was packed.
+struct DenseGivensQr {
+  explicit DenseGivensQr(std::size_t max_cols)
+      : ld(max_cols), r(max_cols * max_cols, 0.0) {}
+
+  void add_column(std::vector<double> col) {
+    const std::size_t k = rotations.size();
+    for (std::size_t i = 0; i < k; ++i) rotations[i].apply(col[i], col[i + 1]);
+    const dense::GivensRotation rot = dense::make_givens(col[k], col[k + 1]);
+    rot.apply(col[k], col[k + 1]);
+    rotations.push_back(rot);
+    for (std::size_t i = 0; i <= k; ++i) r[i + k * ld] = col[i];
+  }
+  void pop_column() { rotations.pop_back(); }
+
+  std::size_t ld;
+  std::vector<double> r;
+  std::vector<dense::GivensRotation> rotations;
+};
+
+} // namespace
+
+TEST(HessenbergQr, PackedFactorMatchesDenseReferenceBitwise) {
+  // Add six columns, pop two, re-add two different ones and a seventh:
+  // every stored entry of R must equal the dense-storage reference bit
+  // for bit, through r() and r_block() alike.
+  const std::size_t max_cols = 8;
+  const auto column = [](std::size_t k, double salt) {
+    std::vector<double> c(k + 2);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = std::sin(1.7 * static_cast<double>(i) + salt +
+                      0.3 * static_cast<double>(k)) +
+             (i == k + 1 ? 0.5 : 0.0);
+    }
+    return c;
+  };
+  dense::HessenbergQr qr(max_cols, 2.5);
+  DenseGivensQr ref(max_cols);
+  const auto add = [&](std::size_t k, double salt) {
+    (void)qr.add_column(column(k, salt));
+    ref.add_column(column(k, salt));
+  };
+  for (std::size_t k = 0; k < 6; ++k) add(k, 0.0);
+  qr.pop_column();
+  qr.pop_column();
+  ref.pop_column();
+  ref.pop_column();
+  add(4, 1.0);
+  add(5, 2.0);
+  add(6, 3.0);
+
+  const std::size_t k = qr.size();
+  ASSERT_EQ(k, 7u);
+  const la::DenseMatrix block = qr.r_block();
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i <= j; ++i) {
+      EXPECT_EQ(qr.r(i, j), ref.r[i + j * ref.ld]) << i << "," << j;
+      EXPECT_EQ(block(i, j), ref.r[i + j * ref.ld]) << i << "," << j;
+    }
+    for (std::size_t i = j + 1; i < k; ++i) EXPECT_EQ(block(i, j), 0.0);
+  }
 }

@@ -339,6 +339,32 @@ TEST(FtGmresRecovery, InnerRecoveryForMapsEveryDetectorResponse) {
             krylov::InnerRecovery::RestartOuter);
 }
 
+// --- Iteration budget --------------------------------------------------------
+
+TEST(FtGmresBudget, HugeOuterBudgetCostsOnlyTheColumnsUsed) {
+  // max_outer is a budget, not an allocation: a 100000-iteration budget
+  // once asked for an 80 GB triangular factor.  The solve must succeed
+  // and be bitwise the solve with the default 200-iteration budget.
+  const auto A = gen::poisson2d(10);
+  const la::Vector b = la::ones(A.rows());
+  krylov::FtGmresOptions opts;
+  opts.inner.max_iters = 10;
+  const auto small = krylov::ft_gmres(A, b, opts);
+  opts.outer.max_outer = 100000;
+  const auto huge = krylov::ft_gmres(A, b, opts);
+
+  EXPECT_EQ(huge.status, krylov::SolveStatus::Converged);
+  EXPECT_EQ(huge.status, small.status);
+  EXPECT_EQ(huge.outer_iterations, small.outer_iterations);
+  EXPECT_EQ(huge.total_inner_iterations, small.total_inner_iterations);
+  EXPECT_EQ(huge.residual_norm, small.residual_norm);
+  EXPECT_EQ(huge.residual_history, small.residual_history);
+  ASSERT_EQ(huge.x.size(), small.x.size());
+  for (std::size_t i = 0; i < huge.x.size(); ++i) {
+    ASSERT_EQ(huge.x[i], small.x[i]) << "x[" << i << "]";
+  }
+}
+
 // --- Thread invariance ------------------------------------------------------
 
 #ifdef _OPENMP

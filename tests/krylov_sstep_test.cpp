@@ -135,6 +135,25 @@ TEST(SStepGmres, ConvergesOnNonsymmetricWithRestart) {
   EXPECT_LE(explicit_residual(A, b, res.x), 1e-8);
 }
 
+TEST(SStepGmres, HugeUnrestartedBudgetCostsOnlyTheColumnsUsed) {
+  // Unrestarted, the cycle is the whole budget: the staged Hessenberg
+  // columns once took (budget+1) x budget doubles up front, 80 GB here.
+  const auto A = gen::poisson2d(10);
+  const la::Vector b = la::ones(A.rows());
+  krylov::GmresOptions opts;
+  opts.max_iters = 300;
+  opts.tol = 1e-10;
+  opts.s_step = 4;
+  const auto small = krylov::gmres(A, b, opts);
+  opts.max_iters = 100000;
+  const auto huge = krylov::gmres(A, b, opts);
+  EXPECT_EQ(huge.status, krylov::SolveStatus::Converged);
+  EXPECT_EQ(huge.iterations, small.iterations);
+  EXPECT_EQ(huge.global_syncs, small.global_syncs);
+  EXPECT_EQ(huge.residual_history, small.residual_history);
+  EXPECT_TRUE(bitwise_equal(huge.x, small.x));
+}
+
 TEST(SStepGmres, SEqualsOneIsBitwiseIdenticalToTheClassicalPath) {
   const auto A = gen::convection_diffusion2d(9, 15.0, 5.0);
   const la::Vector b = la::ones(A.rows());

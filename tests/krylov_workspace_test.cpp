@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -7,11 +11,15 @@
 #include "gen/poisson.hpp"
 #include "krylov/fgmres.hpp"
 #include "krylov/ft_gmres.hpp"
+#include "krylov/ft_gmres_batch.hpp"
 #include "krylov/gmres.hpp"
+#include "krylov/hooks.hpp"
 #include "krylov/ilu0.hpp"
+#include "krylov/operator.hpp"
 #include "krylov/workspace.hpp"
 #include "la/blas1.hpp"
 #include "la/workspace.hpp"
+#include "sdc/detector.hpp"
 #include "sdc/injection.hpp"
 
 namespace krylov = sdcgmres::krylov;
@@ -153,6 +161,92 @@ TEST(Workspace, RepeatedFtGmresSolvesMatchFreshState) {
   EXPECT_EQ(reused_faulty.outer_iterations, fresh_faulty.outer_iterations);
   EXPECT_EQ(reused_faulty.residual_norm, fresh_faulty.residual_norm);
   expect_same_vector(reused_faulty.x, fresh_faulty.x);
+}
+
+namespace {
+
+/// Fault + retry_reliable detector hooks for the first two instances of a
+/// batch; one fresh set per solve.
+struct RetryHooks {
+  RetryHooks(std::size_t batch, double bound) : hooks(batch, nullptr) {
+    for (std::size_t i = 0; i < std::min<std::size_t>(batch, 2); ++i) {
+      campaigns.emplace_back(sdc::InjectionPlan::hessenberg(
+          2 + 3 * i, sdc::MgsPosition::First, sdc::FaultModel::scale(1e150)));
+      detectors.emplace_back(bound, sdc::DetectorResponse::RetryReliable);
+      chains.emplace_back();
+      chains.back().add(&campaigns.back());
+      chains.back().add(&detectors.back());
+      hooks[i] = &chains.back();
+    }
+  }
+  std::deque<sdc::FaultCampaign> campaigns;
+  std::deque<sdc::HessenbergBoundDetector> detectors;
+  std::deque<krylov::HookChain> chains;
+  std::vector<krylov::ArnoldiHook*> hooks;
+};
+
+void expect_same_ft_result(const krylov::FtGmresResult& got,
+                           const krylov::FtGmresResult& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.outer_iterations, want.outer_iterations);
+  EXPECT_EQ(got.total_inner_iterations, want.total_inner_iterations);
+  EXPECT_EQ(got.reliable_retries, want.reliable_retries);
+  EXPECT_EQ(got.global_syncs, want.global_syncs);
+  EXPECT_EQ(got.residual_norm, want.residual_norm);
+  EXPECT_EQ(got.residual_history, want.residual_history);
+  expect_same_vector(got.x, want.x);
+}
+
+} // namespace
+
+TEST(Workspace, FtGmresWorkspaceGrowsMidReuseBitwise) {
+  // One workspace runs a 3-outer solve and then a 12-outer one, so its
+  // outer arenas grow (and move) between solves while the inner solves
+  // hold spans into them across their reliable retries.  Every result must
+  // equal the same solve on a fresh workspace, solo and in lockstep.
+  const auto A = gen::poisson2d(16);
+  const krylov::CsrOperator op(A);
+  const double bound = A.frobenius_norm();
+  krylov::FtGmresOptions short_opts;
+  short_opts.inner.max_iters = 8;
+  short_opts.recovery = krylov::InnerRecovery::RetryReliable;
+  short_opts.outer.tol = 1e-2;
+  krylov::FtGmresOptions long_opts = short_opts;
+  long_opts.outer.tol = 1e-12;
+
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(batch);
+    std::vector<la::Vector> bs(batch, la::Vector(A.rows()));
+    for (std::size_t c = 0; c < batch; ++c) {
+      for (std::size_t i = 0; i < A.rows(); ++i) {
+        bs[c][i] = std::sin(0.31 * static_cast<double>((i + 1) * (c + 1))) + 1;
+      }
+    }
+    const auto solve = [&](const krylov::FtGmresOptions& opts,
+                           krylov::FtGmresWorkspace* ws) {
+      RetryHooks h(batch, bound);
+      auto results = krylov::ft_gmres_batch(op, bs, opts, h.hooks, ws);
+      for (const sdc::HessenbergBoundDetector& d : h.detectors) {
+        EXPECT_TRUE(d.triggered());
+      }
+      return results;
+    };
+
+    krylov::FtGmresWorkspace ws;
+    const auto reused_short = solve(short_opts, &ws);
+    const auto reused_long = solve(long_opts, &ws);
+    const auto fresh_short = solve(short_opts, nullptr);
+    const auto fresh_long = solve(long_opts, nullptr);
+
+    EXPECT_EQ(fresh_short[0].outer_iterations, 3u);
+    EXPECT_EQ(fresh_long[0].outer_iterations, 12u);
+    EXPECT_EQ(fresh_short[0].reliable_retries, 1u);
+    for (std::size_t i = 0; i < batch; ++i) {
+      SCOPED_TRACE(i);
+      expect_same_ft_result(reused_short[i], fresh_short[i]);
+      expect_same_ft_result(reused_long[i], fresh_long[i]);
+    }
+  }
 }
 
 TEST(Workspace, SurvivesShapeChangesBetweenSolves) {

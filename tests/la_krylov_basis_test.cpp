@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "la/blas1.hpp"
@@ -148,4 +151,88 @@ TEST(KrylovBasis, ColumnsWorkWithBlas1Kernels) {
   b.append(la::Vector{0.0, 1.0, 0.0, 0.0});
   EXPECT_DOUBLE_EQ(la::dot(b.col(0), b.col(1)), 0.0);
   EXPECT_DOUBLE_EQ(la::nrm2(b.col(0)), 1.0);
+}
+
+TEST(KrylovBasis, CapacityIsABoundNotAnAllocation) {
+  // A 2^40-column bound would need 8 PB up front; the arena allocates only
+  // the columns appended.
+  la::KrylovBasis b(1000, std::size_t{1} << 40);
+  EXPECT_EQ(b.capacity(), std::size_t{1} << 40);
+  for (std::size_t j = 0; j < 3; ++j) {
+    const std::span<double> c = b.append();
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = static_cast<double>(1000 * j + i);
+    }
+  }
+  ASSERT_EQ(b.cols(), 3u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(b.col(j)[0], static_cast<double>(1000 * j));
+    EXPECT_EQ(b.col(j)[999], static_cast<double>(1000 * j + 999));
+  }
+}
+
+namespace {
+
+/// Appends distinct columns to a padded arena one at a time, through every
+/// growth step up to the capacity, and checks after each append that all
+/// earlier columns kept their bits.
+template <typename S>
+void check_columns_survive_growth(std::size_t rows) {
+  const std::size_t capacity = 40;
+  la::KrylovBasisT<S> b(rows, capacity);
+  ASSERT_GT(b.ld(), rows) << "the check wants a padded leading dimension";
+  const auto value = [](std::size_t i, std::size_t j) {
+    return static_cast<S>(std::sin(0.37 * static_cast<double>(i) +
+                                   1.91 * static_cast<double>(j)) *
+                          1e3);
+  };
+  for (std::size_t j = 0; j < capacity; ++j) {
+    std::vector<S> v(rows);
+    for (std::size_t i = 0; i < rows; ++i) v[i] = value(i, j);
+    b.append(std::span<const S>(v));
+    for (std::size_t c = 0; c <= j; ++c) {
+      const std::span<const S> col = std::as_const(b).col(c);
+      for (std::size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(col[i], value(i, c))
+            << "column " << c << " row " << i << " after " << j + 1
+            << " appends";
+      }
+    }
+  }
+  EXPECT_THROW(b.append(), std::length_error);
+}
+
+} // namespace
+
+TEST(KrylovBasis, ColumnsSurviveEveryGrowthBitwise) {
+  check_columns_survive_growth<double>(512); // ld = 520
+  check_columns_survive_growth<float>(1024); // ld = 1040
+}
+
+TEST(KrylovBasis, RefillAfterClearDoesNotGrowAgain) {
+  la::KrylovBasis b(64, 100);
+  for (std::size_t j = 0; j < 11; ++j) (void)b.append();
+  const double* grown = b.data();
+  b.clear();
+  for (std::size_t j = 0; j < 11; ++j) {
+    (void)b.append();
+    EXPECT_EQ(b.data(), grown) << "append " << j;
+  }
+}
+
+TEST(KrylovBasis, MovesHandTheStorageOver) {
+  la::KrylovBasis b(3, 8);
+  b.append(la::Vector{1.0, 2.0, 3.0});
+  b.append(la::Vector{4.0, 5.0, 6.0});
+  const double* storage = b.data();
+  la::KrylovBasis moved(std::move(b));
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_EQ(moved.cols(), 2u);
+  EXPECT_EQ(moved.capacity(), 8u);
+  la::KrylovBasis assigned(3, 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), storage);
+  EXPECT_EQ(assigned.col_copy(1), (la::Vector{4.0, 5.0, 6.0}));
+  assigned.append(la::Vector{7.0, 8.0, 9.0});
+  EXPECT_EQ(assigned.col_copy(0), (la::Vector{1.0, 2.0, 3.0}));
 }

@@ -84,6 +84,28 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
   EXPECT_THROW((void)sparse::read_matrix_market(in), std::runtime_error);
 }
 
+TEST(MatrixMarket, OverDeclaredCountIsATruncationErrorNotBadAlloc) {
+  // The header's nnz is untrusted: a file declaring ten billion entries
+  // and holding one must fail with the reader's own message, not by
+  // reserving the declared count.
+  for (const char* symmetry : {"general", "symmetric"}) {
+    std::istringstream in(std::string("%%MatrixMarket matrix coordinate real ") +
+                          symmetry + "\n"
+                          "3 3 10000000000\n"
+                          "1 1 1.0\n");
+    try {
+      (void)sparse::read_matrix_market(in);
+      FAIL() << "expected a truncation error (" << symmetry << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "fewer entries than declared (1 of 10000000000; "
+                    "truncated file?)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MatrixMarket, RejectsOutOfRangeIndex) {
   std::istringstream in(
       "%%MatrixMarket matrix coordinate real general\n"
