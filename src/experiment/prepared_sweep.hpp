@@ -23,19 +23,30 @@
 namespace sdcgmres::experiment::detail {
 
 /// The failure-free run every site forks from: the baseline, recorded at
-/// each outer boundary with the sweep's detector installed, and the number
-/// of leading boundaries a faulted solve may start from.
+/// each outer boundary with the sweep's detector installed, the number of
+/// leading boundaries a faulted solve may start from, and where that
+/// detector fired.
 struct ForkBase {
   krylov::FtGmresTrajectory trajectory;
   std::size_t usable = 0;
+  std::size_t detected_until = 0; ///< one past the last outer iteration in
+                                  ///< which the recorded run's detector
+                                  ///< fired (0: it never fired)
 
   /// Where the site's solve starts: the last usable boundary before its
-  /// aggregate iteration.  Boundary 0 is a plain start from zero.
+  /// aggregate iteration.  Boundary 0 starts from zero; no start carries a
+  /// trajectory when nothing was recorded.
   [[nodiscard]] krylov::FtGmresStart start_for(std::size_t site) const {
+    if (usable == 0) return {};
     std::size_t k = 0;
     while (k + 1 < usable && trajectory.hook_iterations[k + 1] <= site) ++k;
-    if (k == 0) return {};
     return {.trajectory = &trajectory, .boundary = k};
+  }
+
+  /// True when the recorded run's detector fires in outer iteration k or
+  /// later: a solve that rejoins at boundary k would see it fire there.
+  [[nodiscard]] bool detects_from(std::size_t k) const noexcept {
+    return k < detected_until;
   }
 
   /// The aggregate inner iterations a solve starting at \p start skips:

@@ -178,8 +178,8 @@ sdc::InjectionPlan sweep_plan(const SweepConfig& config, std::size_t site) {
 /// start at any boundary the run reached before its detector first fired
 /// (a boundary after that would lose the detection).  When it fired, the
 /// baseline is rerun hook-free: the baseline fields never depend on the
-/// detector.  A wall-clock deadline disables forking: that guard is per
-/// solve and not deterministic.
+/// detector.  A wall-clock deadline disables forking and rejoining: that
+/// guard is per solve and not deterministic.
 krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
                                             const la::Vector& b,
                                             const SweepConfig& config,
@@ -199,8 +199,11 @@ krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
   });
   base.usable = base.trajectory.size();
   if (detector && detector->triggered()) {
-    base.usable = std::min(base.usable,
-                           detector->log().events().front().solve_index + 1);
+    const std::vector<sdc::Event>& events = detector->log().events();
+    base.usable = std::min(base.usable, events.front().solve_index + 1);
+    for (const sdc::Event& e : events) {
+      base.detected_until = std::max(base.detected_until, e.solve_index + 1);
+    }
     return pinned_baseline(A, b, config.solver);
   }
   return baseline;
@@ -215,6 +218,10 @@ krylov::FtGmresResult run_recorded_baseline(const krylov::LinearOperator& A,
 /// batching is purely a traffic optimization.  Each site starts at its
 /// boundary of \p base with its campaign seeded with the boundary's
 /// iteration count, which is bitwise the same solve as one from zero.
+/// Once its campaign has fired, its hooks act as the recorded run's did,
+/// so a site whose outer state is back on the recording bitwise rejoins it
+/// there -- unless the recorded run's detector fires after that boundary
+/// and the site's has not fired yet: its `detected` would then be lost.
 /// \p point_indices names the sweep-point slots this block solves (not
 /// necessarily contiguous: a resumed sweep blocks over the PENDING
 /// points); \p xs provides one iterate buffer per instance.  All mutable
@@ -244,6 +251,12 @@ void run_block(solver::FtGmresSolver& ft, const la::Vector& b,
       chains[s].add(detectors[s].get());
     }
     hooks[s] = &chains[s];
+    starts[s].settled = [&base, campaign = &campaigns.back(),
+                         detector = detectors[s].get()](std::size_t k) {
+      return campaign->fired() &&
+             (detector == nullptr || detector->triggered() ||
+              !base.detects_from(k));
+    };
     bs[s] = b.span();
     xspans[s] = xs[s].span();
   }

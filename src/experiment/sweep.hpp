@@ -21,6 +21,13 @@
 /// before the detector first fires in the failure-free run, and a
 /// wall-clock deadline (deadline_seconds > 0, a per-solve guard that is
 /// not deterministic) disables it.
+///
+/// A faulted solve also ends early when it is back on the failure-free
+/// run: once its campaign has fired, at each outer boundary it checks its
+/// outer state against the recorded boundary, and when they are bitwise
+/// equal (a detected fault that recovery=retry_reliable recomputed, say)
+/// it takes the rest of its result from the recording.  The point is the
+/// same; only the measured traffic shrinks.
 
 #include <cstddef>
 #include <string>

@@ -1,7 +1,10 @@
 #include "krylov/fgmres.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +28,21 @@ double sigma_ratio(const dense::HessenbergQr& qr) {
   const double smin = svd.sigma[k - 1];
   if (smax == 0.0) return 0.0;
   return smin / smax;
+}
+
+/// Offset of Hessenberg column j (j+2 entries) in a packed store.
+constexpr std::size_t packed_offset(std::size_t j) noexcept {
+  return j * (j + 3) / 2;
+}
+
+/// Bitwise equality, so NaN payloads and signed zeros count.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 /// x := x0 + Z y for the current projected solution (one gemv over the
@@ -173,11 +191,14 @@ void FgmresEngine::resume(const FgmresTrajectory& t, std::size_t k) {
   for (std::size_t i = 0; i <= k; ++i) q.append(column(t.v, i));
   for (std::size_t i = 0; i < k; ++i) zbasis.append(column(t.z, i));
   reset_projection();
+  h_.assign(t.h.begin(), t.h.begin() + static_cast<std::ptrdiff_t>(
+                                          packed_offset(k)));
   for (std::size_t j = 0; j < k; ++j) {
-    w_->qr.add_column({t.h.data() + j * (j + 3) / 2, j + 2});
+    w_->qr.add_column({h_.data() + packed_offset(j), j + 2});
     if (opts_.rank_check_every_iteration) (void)track_condition();
   }
   j_ = k;
+  first_ = k;
 }
 
 bool FgmresEngine::snapshot(FgmresTrajectory& t) const {
@@ -207,6 +228,38 @@ bool FgmresEngine::snapshot(FgmresTrajectory& t) const {
                           .rank_checks = result_.rank_checks,
                           .sanitized_outputs = result_.sanitized_outputs,
                           .min_sigma_ratio = result_.min_sigma_ratio});
+  return true;
+}
+
+bool FgmresEngine::matches(const FgmresTrajectory& t) const {
+  if (finished_ || !replayable_ || j_ >= t.size() || t.rows != n_) {
+    return false;
+  }
+  // Cheapest first: a faulted solve usually differs from its first
+  // residual estimate on.
+  const FgmresTrajectory::Boundary& at = t.boundaries[j_];
+  if (!same_bits(result_.residual_history, {t.residual_history.data(), j_}) ||
+      result_.global_syncs != at.global_syncs ||
+      result_.rank_checks != at.rank_checks ||
+      result_.sanitized_outputs != at.sanitized_outputs ||
+      !same_bits(result_.min_sigma_ratio, at.min_sigma_ratio) ||
+      !same_bits(bnorm_, t.bnorm) || !same_bits(beta_, t.beta)) {
+    return false;
+  }
+  const std::size_t h_from = packed_offset(first_);
+  const std::size_t h_to = packed_offset(j_);
+  if (!same_bits({h_.data() + h_from, h_to - h_from},
+                 {t.h.data() + h_from, h_to - h_from})) {
+    return false;
+  }
+  const la::KrylovBasis& q = w_->arena.basis();
+  const la::KrylovBasis& zbasis = w_->arena.directions();
+  for (std::size_t i = first_; i < j_; ++i) {
+    if (!same_bits(zbasis.col(i), {t.z.data() + i * n_, n_})) return false;
+  }
+  for (std::size_t i = first_; i <= j_; ++i) {
+    if (!same_bits(q.col(i), {t.v.data() + i * n_, n_})) return false;
+  }
   return true;
 }
 
@@ -321,6 +374,8 @@ bool FgmresEngine::advance() {
   }
 
   result_.residual_history.push_back(est);
+  h_.insert(h_.end(), hcol.begin(),
+            hcol.begin() + static_cast<std::ptrdiff_t>(j + 2));
   q.append(v.span(), 1.0 / hnext);
 
   if (est <= abs_target_) {

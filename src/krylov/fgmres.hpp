@@ -178,6 +178,17 @@ public:
   /// does not restore the factorization bitwise).
   bool snapshot(FgmresTrajectory& t) const;
 
+  /// True when the current state is bitwise recorded boundary iteration()
+  /// of \p t: the Boundary counters, ||b||, the initial residual norm and
+  /// the residual history, and the V, Z and Hessenberg columns this engine
+  /// computed since start() or resume() (earlier ones were copied from the
+  /// record).  From such a boundary the engine would compute exactly what
+  /// the recorded solve did, given the same preconditioner outputs.  False
+  /// once finished() or no longer replayable (see snapshot()), and at a
+  /// boundary \p t did not record.  Call between iterations, like
+  /// snapshot().
+  [[nodiscard]] bool matches(const FgmresTrajectory& t) const;
+
   /// True once a terminal status has been reached; no further protocol
   /// calls are allowed.
   [[nodiscard]] bool finished() const noexcept { return finished_; }
@@ -254,8 +265,12 @@ private:
   double beta_ = 0.0;  ///< residual norm at the current cycle's start
   double beta0_ = 0.0; ///< initial residual norm (divergence reference)
   std::chrono::steady_clock::time_point deadline_{};
+  std::size_t first_ = 0; ///< the boundary start()/resume() began at
   bool finished_ = false;
   bool replayable_ = true; ///< no restart or discarded direction so far
+  std::vector<double> h_; ///< accepted Hessenberg columns, packed like
+                          ///< FgmresTrajectory::h (the ones a resume
+                          ///< replayed included)
   FgmresResult result_;
   /// O(k)/iteration conditioning monitor of the projected QR's R factor
   /// (rank_check_every_iteration); reset with the factor on every cycle.

@@ -122,6 +122,17 @@ template class InnerGmresT<float>;
 
 namespace {
 
+/// Add the inner records' totals to \p result, whose global_syncs holds
+/// the outer iteration's own.
+void add_inner_totals(FtGmresResult& result) {
+  for (const InnerSolveRecord& rec : result.inner_solves) {
+    result.total_inner_iterations += rec.iterations;
+    result.total_inner_applies += rec.operator_applies;
+    result.reliable_retries += rec.reliable_retries;
+    result.global_syncs += rec.global_syncs;
+  }
+}
+
 /// Assemble an FtGmresResult from the outer FGMRES result and the inner
 /// solve records (including the total-inner summations).
 FtGmresResult make_ft_gmres_result(FgmresResult&& outer,
@@ -136,12 +147,24 @@ FtGmresResult make_ft_gmres_result(FgmresResult&& outer,
   result.sanitized_outputs = outer.sanitized_outputs;
   result.outer_restarts = outer.outer_restarts;
   result.global_syncs = outer.global_syncs;
+  add_inner_totals(result);
+  return result;
+}
+
+/// The result of an instance that rejoined \p t at boundary own.size():
+/// the recorded solve's end, with the instance's inner records before the
+/// boundary in place of the recording's.
+FtGmresResult rejoined_result(const FtGmresTrajectory& t,
+                              std::span<const InnerSolveRecord> own) {
+  FtGmresResult result = t.end;
   for (const InnerSolveRecord& rec : result.inner_solves) {
-    result.total_inner_iterations += rec.iterations;
-    result.total_inner_applies += rec.operator_applies;
-    result.reliable_retries += rec.reliable_retries;
-    result.global_syncs += rec.global_syncs;
+    result.global_syncs -= rec.global_syncs;
   }
+  std::copy(own.begin(), own.end(), result.inner_solves.begin());
+  result.total_inner_iterations = 0;
+  result.total_inner_applies = 0;
+  result.reliable_retries = 0;
+  add_inner_totals(result);
   return result;
 }
 
@@ -249,9 +272,10 @@ private:
 
 /// The FT-GMRES driver: B nested solves in lockstep, a solo solve being
 /// B = 1 (every one-column step then applies directly, with no staging).
-/// An instance with a start trajectory resumes at its boundary; the rest
-/// start from zero.  With \p record set (B = 1), the solve is recorded
-/// into it at every outer boundary while the outer engine can replay it.
+/// An instance with a start trajectory resumes at its boundary, and may
+/// rejoin it later (FtGmresStart::settled); the rest start from zero.
+/// With \p record set (B = 1), the solve is recorded into it at every
+/// outer boundary while the outer engine can replay it.
 /// The outer (reliable) phase always runs in double against the original
 /// operator \p A; only the inner phase's engines, staging, and products
 /// are typed on the scalar of \p inner_op (A itself on the default plane,
@@ -265,6 +289,10 @@ std::vector<FtGmresResult> drive_lockstep(
     FtGmresWorkspace& w) {
   const std::size_t batch = bs.size();
   std::vector<FtGmresResult> results(batch);
+  const FtGmresStart from_zero;
+  const auto start_of = [&](std::size_t i) -> const FtGmresStart& {
+    return starts.empty() ? from_zero : starts[i];
+  };
 
   // Never shrink: a reused workspace keeps the warm arenas of earlier,
   // larger batches (the monotone-reserve contract of the data plane).
@@ -309,11 +337,16 @@ std::vector<FtGmresResult> drive_lockstep(
 
   // `active` holds the indices of instances still iterating, in input
   // order; a terminated instance drops out without disturbing the rest.
+  // `watch` marks the instances that may still rejoin their trajectory,
+  // `rejoined` those whose result came from it.
   std::vector<std::size_t> active;
   active.reserve(batch);
+  std::vector<char> watch(batch, 0);
+  std::vector<char> rejoined(batch, 0);
   for (std::size_t i = 0; i < batch; ++i) {
-    const FtGmresStart from = starts.empty() ? FtGmresStart{} : starts[i];
-    if (from.trajectory == nullptr) {
+    const FtGmresStart& from = start_of(i);
+    watch[i] = from.trajectory != nullptr && from.settled ? 1 : 0;
+    if (from.trajectory == nullptr || from.boundary == 0) {
       if (!engines[i].start()) active.push_back(i);
       continue;
     }
@@ -321,7 +354,7 @@ std::vector<FtGmresResult> drive_lockstep(
     // records of the skipped outer iterations.
     engines[i].resume(from.trajectory->outer, from.boundary);
     inner[i].prefill_records(
-        std::span(from.trajectory->inner).first(from.boundary));
+        std::span(from.trajectory->end.inner_solves).first(from.boundary));
     active.push_back(i);
   }
 
@@ -341,6 +374,26 @@ std::vector<FtGmresResult> drive_lockstep(
       recording = engines[0].snapshot(record->outer);
       if (recording) record->hook_iterations.push_back(counter.count());
     }
+
+    // --- Rejoin: an instance whose hooks have settled and whose outer
+    // state is bitwise the recorded boundary would compute the rest of the
+    // recorded solve, so it leaves the block with that result.  Survivors
+    // keep their input order (the dropout protocol).
+    live.clear();
+    for (const std::size_t i : active) {
+      const FtGmresStart& from = start_of(i);
+      if (watch[i] != 0 && from.settled(engines[i].iteration())) {
+        if (engines[i].matches(from.trajectory->outer)) {
+          results[i] = rejoined_result(*from.trajectory, inner[i].records());
+          rejoined[i] = 1;
+          continue;
+        }
+        watch[i] = 0;
+      }
+      live.push_back(i);
+    }
+    active.swap(live);
+    if (active.empty()) break;
 
     // --- Unreliable phase, in lockstep: one step-driveable inner engine
     // per live instance, all advanced together so each inner Arnoldi
@@ -427,16 +480,12 @@ std::vector<FtGmresResult> drive_lockstep(
     active.swap(live);
   }
 
-  if (record != nullptr && record->size() > 0) {
-    const std::vector<InnerSolveRecord>& recs = inner[0].records();
-    record->inner.assign(recs.begin(),
-                         recs.begin() + static_cast<std::ptrdiff_t>(
-                                            record->size() - 1));
-  }
   for (std::size_t i = 0; i < batch; ++i) {
+    if (rejoined[i] != 0) continue;
     results[i] =
         make_ft_gmres_result(engines[i].take_result(), inner[i].records());
   }
+  if (record != nullptr) record->end = results[0];
   return results;
 }
 

@@ -11,6 +11,7 @@
 /// the same purpose.
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -133,28 +134,44 @@ struct FtGmresResult {
 };
 
 /// A failure-free FT-GMRES solve recorded at every outer-iteration
-/// boundary (ft_gmres_recorded): the outer trajectory, the inner records
-/// of the recorded outer iterations, and how many Arnoldi iterations the
-/// inner hook had been shown at each boundary.  A later solve of the same
-/// system starts at any recorded boundary through FtGmresStart; up to that
-/// boundary it would have computed exactly this prefix.
+/// boundary (ft_gmres_recorded): the outer trajectory, how many Arnoldi
+/// iterations the inner hook had been shown at each boundary, and the
+/// solve's own result.  A later solve of the same system starts at any
+/// recorded boundary through FtGmresStart; up to that boundary it would
+/// have computed exactly this prefix.  It may also rejoin the recording at
+/// a later boundary (FtGmresStart::settled) and take the rest from `end`.
 struct FtGmresTrajectory {
   FgmresTrajectory outer;
-  std::vector<InnerSolveRecord> inner; ///< [j]: the inner solve of outer
-                                       ///< iteration j (j + 1 < size())
   std::vector<std::size_t> hook_iterations; ///< [k]: on_iteration_begin
                                        ///< events the inner hook received
                                        ///< before outer iteration k
+  FtGmresResult end; ///< the recorded solve's result as its hooks made it,
+                     ///< x and every inner record included (inner_solves[j]
+                     ///< is the inner solve of outer iteration j)
 
   /// Number of recorded boundaries.
   [[nodiscard]] std::size_t size() const noexcept { return outer.size(); }
 };
 
 /// Where one lockstep instance starts: boundary \p boundary of
-/// \p trajectory, or from x0 = 0 (start()) when \p trajectory is null.
+/// \p trajectory, or from x0 = 0 when \p trajectory is null.  Boundary 0
+/// starts from x0 = 0 too (start() computes the initial residual), but
+/// keeps the trajectory to rejoin.
 struct FtGmresStart {
   const FtGmresTrajectory* trajectory = nullptr;
   std::size_t boundary = 0;
+  /// Asked at each outer boundary k an instance with a trajectory reaches
+  /// (its start included): true when, from outer iteration k on, its
+  /// hooks would act exactly as the recorded solve's did (a one-shot fault
+  /// campaign that has fired, for instance) and the caller reads nothing
+  /// more from them.  If the outer state then is bitwise recorded boundary
+  /// k (FgmresEngine::matches), the instance stops there and returns the
+  /// recording's `end` with its own inner records before k -- the result
+  /// it would have computed.  Once a state check fails, the instance is
+  /// not asked again: a solve that left the recording stays off it, and a
+  /// missed rejoin costs work, never a bit of the result.  Empty: never
+  /// rejoins.
+  std::function<bool(std::size_t k)> settled;
 };
 
 /// Inner GMRES exposed as a flexible preconditioner: each application
@@ -320,12 +337,13 @@ using InnerGmresPreconditioner = InnerGmresT<double>;
                                      FtGmresWorkspace* ws = nullptr);
 
 /// ft_gmres() that also records \p trajectory (cleared first) at every
-/// outer-iteration boundary, for later solves to start from.  Recording
-/// observes only: the result is bitwise the ft_gmres() result.  Recording
-/// stops early at a boundary the outer engine cannot replay (see
-/// FgmresEngine::snapshot); a hook that changes the solve (a detector that
-/// fires) is recorded as it acted, so the caller decides which boundaries
-/// a differently hooked solve may share.
+/// outer-iteration boundary, for later solves to start from, and keeps its
+/// result in trajectory.end.  Recording observes only: the result is
+/// bitwise the ft_gmres() result.  Recording stops early at a boundary the
+/// outer engine cannot replay (see FgmresEngine::snapshot); a hook that
+/// changes the solve (a detector that fires) is recorded as it acted, so
+/// the caller decides which boundaries a differently hooked solve may
+/// share.
 [[nodiscard]] FtGmresResult ft_gmres_recorded(const LinearOperator& A,
                                               const la::Vector& b,
                                               const FtGmresOptions& opts,

@@ -59,7 +59,11 @@ namespace sdcgmres::krylov {
 ///        instance: an instance with a trajectory resumes at its boundary
 ///        (its hook must already account for the skipped prefix, e.g. a
 ///        fault campaign seeded with FtGmresTrajectory::hook_iterations)
-///        and returns the same result as its solve from zero.
+///        and returns the same result as its solve from zero.  Once its
+///        `settled` predicate holds at a later outer boundary and its outer
+///        state is bitwise that recorded boundary, it also stops there and
+///        takes the rest of its result from the recording (see
+///        FtGmresStart), again the result of its solve from zero.
 [[nodiscard]] std::vector<FtGmresResult> ft_gmres_batch(
     const LinearOperator& A, std::span<const std::span<const double>> bs,
     const FtGmresOptions& opts, std::span<ArnoldiHook* const> inner_hooks = {},

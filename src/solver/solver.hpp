@@ -309,7 +309,8 @@ public:
   /// installed but no inner_hooks throws std::invalid_argument (silently
   /// dropping a campaign would corrupt an experiment).  \p starts is
   /// empty or one start per instance (krylov::ft_gmres_batch): an
-  /// instance with a recorded trajectory resumes at its boundary and
+  /// instance with a recorded trajectory resumes at its boundary, may
+  /// rejoin the recording later (krylov::FtGmresStart::settled), and
   /// reports the same result as its solve from zero.
   std::vector<SolveReport> solve_batch(
       std::span<const std::span<const double>> bs,

@@ -89,6 +89,16 @@ CsrMatrix read_matrix_market(std::istream& in) {
             "): expected 'rows cols nnz', got '" + line + "'");
   }
 
+  // The declared dimensions are untrusted too: the CSR row pointers alone
+  // take rows + 1 words, so a size line beyond what the narrowest index
+  // plane addresses is refused before anything is allocated for it.
+  if (rows > kMaxMatrixMarketDimension || cols > kMaxMatrixMarketDimension) {
+    mm_fail("declared size " + std::to_string(rows) + " x " +
+            std::to_string(cols) + " exceeds the largest dimension read, " +
+            std::to_string(kMaxMatrixMarketDimension) + " (size line, line " +
+            std::to_string(line_no) + ")");
+  }
+
   // The declared count is untrusted: reserve no more than a bounded number
   // of entries up front, so a header that over-declares fails with the
   // truncation error below instead of std::bad_alloc.  Larger files grow

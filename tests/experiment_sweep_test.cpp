@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/prepared_sweep.hpp"
 #include "experiment/report.hpp"
 #include "experiment/sweep.hpp"
 #include "gen/poisson.hpp"
@@ -82,6 +83,36 @@ std::vector<experiment::SweepPoint> solve_sites_from_scratch(
     p.global_syncs = run.global_syncs;
   }
   return points;
+}
+
+/// The operand columns the sweep's sites stream when none may rejoin the
+/// recorded baseline: every site solved from its fork boundary, with the
+/// sweep's own ForkBase, to its end.
+std::size_t fork_only_columns(const sdcgmres::sparse::CsrMatrix& A,
+                              const la::Vector& b,
+                              const experiment::SweepConfig& config) {
+  const experiment::detail::PreparedSweep prep =
+      experiment::detail::prepare_sweep(A, b, config);
+  const krylov::CsrOperator op(A);
+  solver::FtGmresSolver ft(op, prep.config.solver);
+  for (std::size_t i = 0; i < prep.result.points.size(); ++i) {
+    const std::size_t site = i * config.stride;
+    const krylov::FtGmresStart starts[] = {prep.base.start_for(site)};
+    sdc::InjectionPlan plan = sdc::InjectionPlan::hessenberg(
+        site, config.position, config.model);
+    plan.target = config.target;
+    sdc::FaultCampaign campaign(plan, prep.base.skipped(starts[0]));
+    sdc::HessenbergBoundDetector detector(config.detector_bound,
+                                          config.detector_response);
+    krylov::HookChain chain({&campaign});
+    if (config.with_detector) chain.add(&detector);
+    krylov::ArnoldiHook* const hooks[] = {&chain};
+    la::Vector x(A.rows());
+    const std::span<const double> bs[] = {b.span()};
+    const std::span<double> xs[] = {x.span()};
+    (void)ft.solve_batch(bs, xs, hooks, starts);
+  }
+  return op.stats().columns() + ft.mixed_stats().columns();
 }
 
 /// Field-by-field, bitwise (a NaN residual compares equal to itself).
@@ -588,6 +619,65 @@ TEST(Sweep, ForkedSitesMatchSolvesFromScratch) {
     // the points' own inner applies account for, at any batch.
     EXPECT_LT(solo.operator_stats.columns(), solo.inner_operand_columns());
     EXPECT_EQ(batched.operator_stats.columns(), solo.operator_stats.columns());
+    // A retried site is back on the baseline and ends at its rejoin; a
+    // restarted outer cycle never returns to it.
+    const std::size_t fork_only = fork_only_columns(A, b, config);
+    if (response == sdc::DetectorResponse::RetryReliable) {
+      EXPECT_LT(solo.operator_stats.columns(), fork_only);
+    } else {
+      EXPECT_EQ(solo.operator_stats.columns(), fork_only);
+    }
+  }
+}
+
+TEST(Sweep, ForkedSitesMatchSolvesFromScratchOnEveryAxis) {
+  // The fork and the rejoin on the s-step inner mode with power faults,
+  // the float/int32 inner plane and the SELL backend, each at batch 1/4
+  // and threads 1/2: every point as from scratch, every site that a retry
+  // put back on the baseline ending there.
+  const auto A = gen::poisson2d(7);
+  const la::Vector b = la::ones(A.rows());
+  auto base = small_config();
+  base.model = sdc::FaultModel::scale(1e150);
+  base.with_detector = true;
+  base.detector_bound = A.frobenius_norm();
+  base.detector_response = sdc::DetectorResponse::RetryReliable;
+
+  std::vector<std::pair<std::string, experiment::SweepConfig>> axes;
+  auto powers = base;
+  powers.solver.inner.max_iters = 8;
+  powers.solver.inner.s_step = 4;
+  powers.target = sdc::InjectionTarget::PowerElement;
+  axes.emplace_back("s=4 fault_target=powers", powers);
+  auto narrow = base;
+  narrow.solver.precision = krylov::Precision::Float;
+  narrow.solver.index_width = krylov::IndexWidth::I32;
+  axes.emplace_back("precision=float index=32", narrow);
+  auto sell = base;
+  sell.backend_key = "sell";
+  axes.emplace_back("backend=sell", sell);
+
+  for (auto& [label, config] : axes) {
+    SCOPED_TRACE(label);
+    const auto one = experiment::run_injection_sweep(A, b, config);
+    const auto scratch =
+        solve_sites_from_scratch(A, b, config, one.points.size());
+    EXPECT_GT(one.retried_reliable(), 0u);
+    expect_points_bitwise(one.points, scratch);
+    EXPECT_LT(one.operator_stats.columns(), fork_only_columns(A, b, config));
+    for (const std::size_t batch : {1u, 4u}) {
+      for (const std::size_t threads : {1u, 2u}) {
+        if (batch == 1 && threads == 1) continue;
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
+                     " threads=" + std::to_string(threads));
+        auto variant = config;
+        variant.batch = batch;
+        variant.threads = threads;
+        const auto run = experiment::run_injection_sweep(A, b, variant);
+        expect_points_bitwise(run.points, scratch);
+        EXPECT_EQ(run.operator_stats.columns(), one.operator_stats.columns());
+      }
+    }
   }
 }
 
@@ -618,5 +708,45 @@ TEST(Sweep, DetectorFiringInTheBaselineLimitsTheFork) {
     expect_points_bitwise(
         sweep.points,
         solve_sites_from_scratch(A, b, config, sweep.points.size()));
+  }
+
+  // A class-1 fault before outer iteration 3 is caught and retried, which
+  // puts its site back on the recorded run before the baseline's own
+  // detection: it rejoins there, and the recording supplies that
+  // detection's retry.
+  auto config = small_config();
+  config.model = sdc::FaultModel::scale(1e150);
+  config.with_detector = true;
+  config.detector_bound = 5.5;
+  config.detector_response = sdc::DetectorResponse::RetryReliable;
+  config.batch = 4;
+  const auto sweep = experiment::run_injection_sweep(A, b, config);
+  expect_points_bitwise(
+      sweep.points,
+      solve_sites_from_scratch(A, b, config, sweep.points.size()));
+  EXPECT_LT(sweep.operator_stats.columns(), fork_only_columns(A, b, config));
+  const std::size_t early = 3 * config.solver.inner.max_iters;
+  for (std::size_t i = 0; i * config.stride < early; ++i) {
+    EXPECT_TRUE(sweep.points[i].detected);
+    EXPECT_GE(sweep.points[i].reliable_retries, 2u)
+        << "site " << i << ": its own retry and the baseline's";
+  }
+
+  // A fault that changes nothing (scale 1) leaves its site on the recording
+  // with its detector silent.  Rejoining before the baseline's detection
+  // would lose that detection from the point, so such a site may only
+  // rejoin after it.
+  config.model = sdc::FaultModel::scale(1.0);
+  for (const sdc::DetectorResponse response :
+       {sdc::DetectorResponse::RecordOnly,
+        sdc::DetectorResponse::RetryReliable}) {
+    config.detector_response = response;
+    const auto unchanged = experiment::run_injection_sweep(A, b, config);
+    EXPECT_EQ(unchanged.detected_runs(), unchanged.points.size());
+    expect_points_bitwise(
+        unchanged.points,
+        solve_sites_from_scratch(A, b, config, unchanged.points.size()));
+    EXPECT_LT(unchanged.operator_stats.columns(),
+              fork_only_columns(A, b, config));
   }
 }

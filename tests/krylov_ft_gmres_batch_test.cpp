@@ -46,6 +46,9 @@ void expect_same_result(const krylov::FtGmresResult& got,
   EXPECT_EQ(got.total_inner_applies, want.total_inner_applies);
   EXPECT_EQ(got.sanitized_outputs, want.sanitized_outputs);
   EXPECT_EQ(got.residual_norm, want.residual_norm); // bitwise
+  EXPECT_EQ(got.reliable_retries, want.reliable_retries);
+  EXPECT_EQ(got.outer_restarts, want.outer_restarts);
+  EXPECT_EQ(got.global_syncs, want.global_syncs);
   ASSERT_EQ(got.x.size(), want.x.size());
   for (std::size_t i = 0; i < got.x.size(); ++i) {
     ASSERT_EQ(got.x[i], want.x[i]) << "x[" << i << "]";
@@ -66,8 +69,52 @@ void expect_same_result(const krylov::FtGmresResult& got,
               want.inner_solves[i].operator_applies);
     EXPECT_EQ(got.inner_solves[i].residual_norm,
               want.inner_solves[i].residual_norm);
+    EXPECT_EQ(got.inner_solves[i].reliable_retries,
+              want.inner_solves[i].reliable_retries);
+    EXPECT_EQ(got.inner_solves[i].triggered_outer_restart,
+              want.inner_solves[i].triggered_outer_restart);
+    EXPECT_EQ(got.inner_solves[i].global_syncs,
+              want.inner_solves[i].global_syncs);
   }
 }
+
+/// Multiplies the first projection coefficient of aggregate Arnoldi
+/// iteration `site` by 1e150 and asks for that inner solve to stop; every
+/// other event passes untouched.  Counts the iterations it is shown.
+class PerturbOnce final : public krylov::ArnoldiHook {
+public:
+  PerturbOnce(std::size_t site, std::size_t seen) : site_(site), seen_(seen) {}
+
+  void on_solve_begin(std::size_t) override { abort_ = false; }
+  void on_iteration_begin(const krylov::ArnoldiContext&) override { ++seen_; }
+  void on_projection_coefficient(const krylov::ArnoldiContext&, std::size_t i,
+                                 std::size_t, double& h) override {
+    if (fired_ || i != 0 || seen_ != site_ + 1) return;
+    h *= 1e150;
+    fired_ = true;
+    abort_ = true;
+  }
+  [[nodiscard]] bool abort_requested() const override { return abort_; }
+
+  [[nodiscard]] bool fired() const noexcept { return fired_; }
+  [[nodiscard]] std::size_t seen() const noexcept { return seen_; }
+
+private:
+  std::size_t site_;
+  std::size_t seen_;
+  bool fired_ = false;
+  bool abort_ = false;
+};
+
+/// Counts the Arnoldi iterations it is shown.
+class CountIterations final : public krylov::ArnoldiHook {
+public:
+  void on_iteration_begin(const krylov::ArnoldiContext&) override { ++seen_; }
+  [[nodiscard]] std::size_t seen() const noexcept { return seen_; }
+
+private:
+  std::size_t seen_ = 0;
+};
 
 krylov::FtGmresOptions small_opts() {
   krylov::FtGmresOptions opts;
@@ -603,5 +650,61 @@ TEST(FtGmresBatch, RestartOuterMidBlockKeepsEveryoneBitwise) {
         op, bs[i], opts, i == 1 ? &solo_chain : nullptr);
     expect_same_result(batch[i], solo, "restart_outer vs solo");
     EXPECT_EQ(batch[i].outer_restarts, solo.outer_restarts);
+  }
+}
+
+TEST(FtGmresBatch, SettledInstanceRejoinsTheRecordingBitwise) {
+  // Instance 1 resumes the recorded failure-free solve at boundary 1; its
+  // hook corrupts one coefficient in outer iteration 2 and aborts, the
+  // reliable retry recomputes that inner solve, and from boundary 3 on it
+  // is back on the recording, so it stops there and takes the rest from
+  // it.  Instance 2 is on the recording throughout, but its predicate
+  // never holds, so it runs to its end.  0 and 3 solve other systems
+  // without trajectories.  Every instance must equal its solve from zero.
+  const auto A = gen::poisson2d(10);
+  const krylov::CsrOperator op(A);
+  auto opts = small_opts();
+  opts.recovery = krylov::InnerRecovery::RetryReliable;
+  auto bs = test_rhs(A.rows(), 4);
+  bs[2] = bs[1];
+
+  krylov::FtGmresTrajectory t;
+  const auto recorded = krylov::ft_gmres_recorded(op, bs[1], opts, nullptr, t);
+  ASSERT_GE(t.size(), 5u);
+  expect_same_result(t.end, recorded, "trajectory end vs recorded result");
+  const std::size_t site = t.hook_iterations[2] + 3;
+
+  PerturbOnce perturb(site, t.hook_iterations[1]);
+  CountIterations watcher;
+  std::vector<krylov::ArnoldiHook*> hooks{nullptr, &perturb, &watcher,
+                                          nullptr};
+  std::vector<krylov::FtGmresStart> starts(4);
+  starts[1] = {.trajectory = &t,
+               .boundary = 1,
+               .settled = [&](std::size_t) { return perturb.fired(); }};
+  starts[2] = {.trajectory = &t,
+               .boundary = 0,
+               .settled = [](std::size_t) { return false; }};
+  std::vector<std::span<const double>> spans;
+  for (const la::Vector& b : bs) spans.push_back(b.span());
+  const auto batch = krylov::ft_gmres_batch(op, spans, opts, hooks, nullptr,
+                                            starts);
+
+  PerturbOnce straight_hook(site, 0);
+  const auto straight = krylov::ft_gmres(op, bs[1], opts, &straight_hook);
+  ASSERT_TRUE(perturb.fired());
+  EXPECT_EQ(straight.reliable_retries, 1u);
+  expect_same_result(batch[1], straight, "rejoined vs straight through");
+  // It stopped at boundary 3: the hook saw outer iterations 1 and 2 (the
+  // aborted attempt only; the retry runs hook-free), not the rest.
+  EXPECT_EQ(perturb.seen(), site + 1);
+  EXPECT_GT(straight_hook.seen(), perturb.seen());
+
+  // The never-settled instance ran every outer iteration with its hook.
+  expect_same_result(batch[2], recorded, "unsettled vs recorded");
+  EXPECT_EQ(watcher.seen(), recorded.total_inner_iterations);
+  for (const std::size_t i : {0u, 3u}) {
+    expect_same_result(batch[i], krylov::ft_gmres(op, bs[i], opts),
+                       "neighbour vs solo");
   }
 }

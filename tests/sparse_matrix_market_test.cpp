@@ -106,6 +106,31 @@ TEST(MatrixMarket, OverDeclaredCountIsATruncationErrorNotBadAlloc) {
   }
 }
 
+TEST(MatrixMarket, OverDeclaredDimensionsAreAReaderErrorNotBadAlloc) {
+  // The size line's rows and columns are untrusted: ten billion of each
+  // would size the CSR row pointers at 80 GB.  The reader refuses them,
+  // naming the size line, before allocating anything.
+  std::istringstream in("%%MatrixMarket matrix coordinate real general\n"
+                        "10000000000 10000000000 1\n"
+                        "1 1 1.0\n");
+  try {
+    (void)sparse::read_matrix_market(in);
+    FAIL() << "expected a size-line error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("declared size 10000000000 x 10000000000"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(size line, line 2)"), std::string::npos) << what;
+  }
+
+  // One column past the cap is refused as well.
+  std::istringstream wide("%%MatrixMarket matrix coordinate real general\n"
+                          "1 2147483648 1\n"
+                          "1 1 1.0\n");
+  EXPECT_THROW((void)sparse::read_matrix_market(wide), std::runtime_error);
+}
+
 TEST(MatrixMarket, RejectsOutOfRangeIndex) {
   std::istringstream in(
       "%%MatrixMarket matrix coordinate real general\n"
