@@ -15,7 +15,6 @@
 #include <iostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "experiment/scenario_spec.hpp"
 #include "gen/circuit.hpp"
@@ -82,12 +81,9 @@ inline std::string csv_dir() {
 /// experiment::ScenarioSpec parser as the `sdc_run` example so every
 /// harness shares one flag vocabulary: `--threads N`, `--json F` (or the
 /// legacy `--sweep-json F`), `--n N`, any bench-specific flags the caller
-/// declares, plus free-form `key=value` scenario tokens.  Tokens the
-/// parser does not recognize are collected for passthrough (argv[0]
-/// first), which is how bench_kernels forwards --benchmark_* arguments.
+/// declares, each also accepted as a `key=value` token (`batch=4`).
 struct CliArgs {
   experiment::ScenarioSpec spec; ///< every recognized flag, as key=value
-  std::vector<char*> passthrough; ///< unrecognized tokens, argv[0] first
   std::size_t threads = 1; ///< worker threads for sweeps / parallel loops
                            ///< (0 = all hardware threads)
   std::string json;        ///< machine-readable output path ("" = off)
@@ -97,13 +93,13 @@ struct CliArgs {
 /// Parse \p argv.  \p value_flags declares bench-specific `--flag value`
 /// pairs and \p bool_flags valueless `--flag` switches, both stored in
 /// the spec under the flag name (booleans as "1"); `--threads/--json/
-/// --sweep-json/--n` are always recognized.  Malformed values exit(1)
-/// with a message (bench binaries have no caller to rethrow to).
+/// --sweep-json/--n` are always recognized.  An unrecognized flag, key or
+/// bare token, or a malformed value, exits(1) with a message naming it
+/// (bench binaries have no caller to rethrow to).
 inline CliArgs parse_cli(int argc, char** argv,
                          std::initializer_list<std::string_view> value_flags = {},
                          std::initializer_list<std::string_view> bool_flags = {}) {
   CliArgs args;
-  args.passthrough.push_back(argv[0]);
   const auto known = [&](std::string_view name) {
     static constexpr std::string_view shared[] = {"threads", "json",
                                                   "sweep-json", "n"};
@@ -112,13 +108,16 @@ inline CliArgs parse_cli(int argc, char** argv,
            std::find(value_flags.begin(), value_flags.end(), name) !=
                value_flags.end();
   };
+  const auto is_bool = [&](std::string_view name) {
+    return std::find(bool_flags.begin(), bool_flags.end(), name) !=
+           bool_flags.end();
+  };
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string_view tok = argv[i];
       if (tok.rfind("--", 0) == 0) {
         const std::string_view name = tok.substr(2);
-        if (std::find(bool_flags.begin(), bool_flags.end(), name) !=
-            bool_flags.end()) {
+        if (is_bool(name)) {
           args.spec.set(name, "1");
         } else if (known(name) && i + 1 < argc) {
           args.spec.set(name, argv[++i]);
@@ -126,12 +125,20 @@ inline CliArgs parse_cli(int argc, char** argv,
           std::cerr << tok << " requires a value\n";
           std::exit(1);
         } else {
-          args.passthrough.push_back(argv[i]); // e.g. --benchmark_filter=...
+          std::cerr << "unrecognized flag " << tok << "\n";
+          std::exit(1);
         }
       } else if (tok.find('=') != std::string_view::npos) {
         args.spec.merge(experiment::ScenarioSpec::parse(tok));
       } else {
-        args.passthrough.push_back(argv[i]);
+        std::cerr << "unrecognized argument " << tok << "\n";
+        std::exit(1);
+      }
+    }
+    for (const std::string& key : args.spec.keys()) {
+      if (!known(key) && !is_bool(key)) {
+        std::cerr << "unrecognized key " << key << "\n";
+        std::exit(1);
       }
     }
     args.threads = args.spec.get_size("threads", 1);

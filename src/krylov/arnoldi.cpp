@@ -1,8 +1,11 @@
 #include "krylov/arnoldi.hpp"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "krylov/gmres.hpp"
+#include "krylov/workspace.hpp"
 #include "la/blas1.hpp"
 
 namespace sdcgmres::krylov {
@@ -16,44 +19,34 @@ ArnoldiResult arnoldi(const LinearOperator& A, const la::Vector& v0,
   if (v0.size() != A.cols()) {
     throw std::invalid_argument("arnoldi: start vector size mismatch");
   }
-  ArnoldiResult out;
-  const double beta = la::nrm2(v0);
-  if (beta == 0.0) {
+  // The engine would report a zero start vector as a converged solve.
+  if (la::nrm2(v0) == 0.0) {
     throw std::invalid_argument("arnoldi: start vector must be nonzero");
   }
-  out.h.reshape(m + 1, m);
-  out.q = la::KrylovBasis(A.rows(), m + 1);
-  out.q.append(v0.span(), 1.0 / beta);
+  // GMRES on b = v0 from x = 0: its first residual is v0, so one cycle of
+  // m steps with the convergence test off is m steps of Arnoldi on v0.
+  GmresOptions opts;
+  opts.max_iters = m;
+  opts.restart = m;
+  opts.tol = 0.0;
+  opts.ortho = ortho;
+  opts.breakdown_tol = breakdown_tol;
+  KrylovWorkspace ws;
+  la::Vector x(A.cols());
+  GmresEngine engine(A, v0.span(), x.span(), opts, hook, 0, ws, nullptr);
 
-  if (hook != nullptr) hook->on_solve_begin(0);
-  la::Vector v(A.rows());
-  std::vector<double> hcol(m + 1, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const ArnoldiContext ctx{.solve_index = 0, .iteration = j};
-    if (hook != nullptr) hook->on_iteration_begin(ctx);
-    A.apply(out.q.col(j), v);
-    if (hook != nullptr) hook->on_matvec_result(ctx, v.span());
-    double hnext = orthogonalize(ortho, out.q, j + 1, v, hcol, hook, ctx).exit;
-    for (std::size_t i = 0; i <= j; ++i) out.h(i, j) = hcol[i];
-    if (hook != nullptr) hook->on_subdiagonal(ctx, hnext);
-    out.h(j + 1, j) = hnext;
-    out.steps = j + 1;
-    if (hook != nullptr && hook->abort_requested()) break;
-    if (hnext <= breakdown_tol) {
-      out.breakdown = true;
-      break;
-    }
-    out.q.append(v.span(), 1.0 / hnext);
-    if (hook != nullptr) {
-      hcol[j + 1] = hnext;
-      const ArnoldiIterationView view{
-          .basis = out.q.view(j + 2),
-          .h_column = {hcol.data(), j + 2},
-      };
-      hook->on_iteration_end(ctx, view);
-      if (hook->abort_requested()) break;
-    }
+  ArnoldiResult out;
+  out.h.reshape(m + 1, m);
+  while (!engine.finished()) {
+    const std::size_t j = engine.stats().iterations;
+    step_with_apply(A, engine);
+    if (engine.stats().iterations == j) continue; // cycle start or abort
+    const std::vector<double>& hcol = ws.arena.h_column();
+    for (std::size_t i = 0; i <= j + 1; ++i) out.h(i, j) = hcol[i];
   }
+  out.steps = engine.stats().iterations;
+  out.breakdown = engine.stats().status == SolveStatus::HappyBreakdown;
+  out.q = std::move(ws.arena.basis());
   return out;
 }
 

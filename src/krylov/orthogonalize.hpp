@@ -41,9 +41,9 @@ enum class Orthogonalization {
 /// total coefficient of q_i removed from v.
 ///
 /// This is the per-vector REFERENCE path (k separate dot+axpy kernels over
-/// scattered la::Vector buffers).  The solvers use the contiguous-basis
-/// overload below; this one is kept as the baseline for the equivalence
-/// tests and the old-vs-new kernel benchmark.
+/// scattered la::Vector buffers).  No solver calls it: the solvers use the
+/// contiguous-basis overload below, and this one is only the reference
+/// the equivalence tests compare that overload against.
 ///
 /// \param hook optional Arnoldi hook (may be nullptr); receives
 ///        on_projection_coefficient for every first-pass coefficient.

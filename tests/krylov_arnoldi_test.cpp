@@ -7,10 +7,13 @@
 #include "gen/convection_diffusion.hpp"
 #include "krylov/arnoldi.hpp"
 #include "la/blas1.hpp"
+#include "sdc/detector.hpp"
+#include "sdc/injection.hpp"
 
 namespace krylov = sdcgmres::krylov;
 namespace gen = sdcgmres::gen;
 namespace la = sdcgmres::la;
+namespace sdc = sdcgmres::sdc;
 
 namespace {
 
@@ -136,6 +139,26 @@ TEST(Arnoldi, SubdiagonalEntriesAreNonnegative) {
   for (std::size_t j = 0; j < res.steps; ++j) {
     EXPECT_GE(res.h(j + 1, j), 0.0);
   }
+}
+
+TEST(Arnoldi, DetectorAbortDropsTheTaintedColumn) {
+  // A class-1 fault in iteration j trips the bound detector while column j
+  // is being built.  The abort drops that column: the run reports the j
+  // columns accepted before it, as an aborted inner GMRES solve does.
+  const auto A = gen::poisson2d(8);
+  const krylov::CsrOperator op(A);
+  const std::size_t j = 4;
+  sdc::FaultCampaign campaign(sdc::InjectionPlan::hessenberg(
+      j, sdc::MgsPosition::First, sdc::fault_classes::very_large()));
+  sdc::HessenbergBoundDetector detector(A.frobenius_norm(),
+                                        sdc::DetectorResponse::AbortSolve);
+  krylov::HookChain chain({&campaign, &detector});
+  const auto res = krylov::arnoldi(op, generic_vector(64), 10,
+                                   krylov::Orthogonalization::MGS, &chain);
+  EXPECT_TRUE(detector.triggered());
+  EXPECT_EQ(res.steps, j);
+  EXPECT_FALSE(res.breakdown);
+  EXPECT_EQ(res.q.cols(), j + 1);
 }
 
 TEST(Arnoldi, RejectsNonSquareOperator) {
