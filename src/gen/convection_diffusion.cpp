@@ -1,41 +1,25 @@
 #include "gen/convection_diffusion.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "gen/stencil.hpp"
 
 namespace sdcgmres::gen {
 
-using sparse::CooMatrix;
-using sparse::CsrMatrix;
-
-CsrMatrix convection_diffusion2d(std::size_t n, double beta_x, double beta_y) {
-  if (n == 0) {
-    throw std::invalid_argument("convection_diffusion2d: n must be positive");
-  }
-  const std::size_t dim = n * n;
+sparse::CsrMatrix convection_diffusion2d(std::size_t n, double beta_x,
+                                         double beta_y) {
   const double h = 1.0 / static_cast<double>(n + 1);
-  CooMatrix coo(dim, dim);
-  coo.reserve(5 * dim);
-  const auto idx = [n](std::size_t i, std::size_t j) { return i * n + j; };
   // First-order upwinding keeps the scheme stable for any Peclet number.
   const double cx = beta_x * h;
   const double cy = beta_y * h;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t row = idx(i, j);
-      double diag = 4.0 + std::abs(cx) + std::abs(cy);
-      const double west = -1.0 - std::max(cx, 0.0);
-      const double east = -1.0 + std::min(cx, 0.0);
-      const double south = -1.0 - std::max(cy, 0.0);
-      const double north = -1.0 + std::min(cy, 0.0);
-      coo.add(row, row, diag);
-      if (j > 0) coo.add(row, idx(i, j - 1), west);
-      if (j + 1 < n) coo.add(row, idx(i, j + 1), east);
-      if (i > 0) coo.add(row, idx(i - 1, j), south);
-      if (i + 1 < n) coo.add(row, idx(i + 1, j), north);
-    }
-  }
-  return CsrMatrix(std::move(coo));
+  const double west = -1.0 - std::max(cx, 0.0);
+  const double east = -1.0 + std::min(cx, 0.0);
+  const double south = -1.0 - std::max(cy, 0.0);
+  const double north = -1.0 + std::min(cy, 0.0);
+  return detail::stencil_matrix("convection_diffusion2d", n, 2,
+                                4.0 + std::abs(cx) + std::abs(cy),
+                                {{{west, east}, {south, north}}});
 }
 
 } // namespace sdcgmres::gen

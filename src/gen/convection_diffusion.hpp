@@ -7,6 +7,11 @@
 /// on the unit square with Dirichlet boundaries.  Nonzero convection makes
 /// the matrix nonsymmetric, which exercises the full upper-Hessenberg
 /// structure in Arnoldi (the paper's Fig. 2 distinction).
+///
+/// Built like the Poisson matrices: CSR rows written directly in ascending
+/// column order by the shared stencil kernel (gen/stencil.hpp), west/east
+/// on the stride-1 axis and south/north on the stride-n axis.  n = 0, or
+/// n^2 above sparse::kMaxDimension rows, throws std::invalid_argument.
 
 #include <cstddef>
 

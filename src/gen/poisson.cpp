@@ -1,68 +1,26 @@
 #include "gen/poisson.hpp"
 
-#include <stdexcept>
+#include "gen/stencil.hpp"
 
 namespace sdcgmres::gen {
 
-using sparse::CooMatrix;
-using sparse::CsrMatrix;
-
-CsrMatrix poisson1d(std::size_t n) {
-  if (n == 0) throw std::invalid_argument("poisson1d: n must be positive");
-  CooMatrix coo(n, n);
-  coo.reserve(3 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) coo.add(i, i - 1, -1.0);
-    coo.add(i, i, 2.0);
-    if (i + 1 < n) coo.add(i, i + 1, -1.0);
-  }
-  return CsrMatrix(std::move(coo));
+sparse::CsrMatrix poisson1d(std::size_t n) {
+  return detail::stencil_matrix("poisson1d", n, 1, 2.0, {{{-1.0, -1.0}}});
 }
 
-CsrMatrix poisson2d(std::size_t n) { return anisotropic2d(n, 1.0, 1.0); }
-
-CsrMatrix anisotropic2d(std::size_t n, double eps_x, double eps_y) {
-  if (n == 0) throw std::invalid_argument("anisotropic2d: n must be positive");
-  const std::size_t dim = n * n;
-  CooMatrix coo(dim, dim);
-  coo.reserve(5 * dim);
-  const auto idx = [n](std::size_t i, std::size_t j) { return i * n + j; };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t row = idx(i, j);
-      coo.add(row, row, 2.0 * (eps_x + eps_y));
-      if (i > 0) coo.add(row, idx(i - 1, j), -eps_y);
-      if (i + 1 < n) coo.add(row, idx(i + 1, j), -eps_y);
-      if (j > 0) coo.add(row, idx(i, j - 1), -eps_x);
-      if (j + 1 < n) coo.add(row, idx(i, j + 1), -eps_x);
-    }
-  }
-  return CsrMatrix(std::move(coo));
+sparse::CsrMatrix poisson2d(std::size_t n) {
+  return detail::stencil_matrix("poisson2d", n, 2, 4.0,
+                                {{{-1.0, -1.0}, {-1.0, -1.0}}});
 }
 
-CsrMatrix poisson3d(std::size_t n) {
-  if (n == 0) throw std::invalid_argument("poisson3d: n must be positive");
-  const std::size_t dim = n * n * n;
-  CooMatrix coo(dim, dim);
-  coo.reserve(7 * dim);
-  const auto idx = [n](std::size_t i, std::size_t j, std::size_t k) {
-    return (i * n + j) * n + k;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t row = idx(i, j, k);
-        coo.add(row, row, 6.0);
-        if (i > 0) coo.add(row, idx(i - 1, j, k), -1.0);
-        if (i + 1 < n) coo.add(row, idx(i + 1, j, k), -1.0);
-        if (j > 0) coo.add(row, idx(i, j - 1, k), -1.0);
-        if (j + 1 < n) coo.add(row, idx(i, j + 1, k), -1.0);
-        if (k > 0) coo.add(row, idx(i, j, k - 1), -1.0);
-        if (k + 1 < n) coo.add(row, idx(i, j, k + 1), -1.0);
-      }
-    }
-  }
-  return CsrMatrix(std::move(coo));
+sparse::CsrMatrix anisotropic2d(std::size_t n, double eps_x, double eps_y) {
+  return detail::stencil_matrix("anisotropic2d", n, 2, 2.0 * (eps_x + eps_y),
+                                {{{-eps_x, -eps_x}, {-eps_y, -eps_y}}});
+}
+
+sparse::CsrMatrix poisson3d(std::size_t n) {
+  return detail::stencil_matrix("poisson3d", n, 3, 6.0,
+                                {{{-1.0, -1.0}, {-1.0, -1.0}, {-1.0, -1.0}}});
 }
 
 } // namespace sdcgmres::gen

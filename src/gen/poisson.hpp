@@ -7,6 +7,11 @@
 /// n x n interior grid with Dirichlet boundaries.  For n = 100 this is the
 /// paper's first test matrix: 10,000 rows, 49,600 nonzeros, ||A||_2 < 8,
 /// ||A||_F ~= 446, SPD with condition number ~6.0e3.
+///
+/// Every generator here writes its CSR rows directly, in ascending column
+/// order, through one stencil kernel (gen/stencil.hpp): no triplets, no
+/// sort.  n = 0, or n^d above sparse::kMaxDimension rows, throws
+/// std::invalid_argument naming the generator and n.
 
 #include <cstddef>
 

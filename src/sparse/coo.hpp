@@ -2,10 +2,13 @@
 /// \file coo.hpp
 /// \brief Coordinate-format sparse matrix builder.
 ///
-/// COO is the assembly format: generators and the Matrix Market reader
-/// append (row, col, value) triplets in any order, then convert to CSR for
-/// compute.  Duplicate entries are summed during conversion, matching the
-/// usual finite-element assembly semantics.
+/// COO is the assembly format of the Matrix Market reader and the
+/// unstructured generators (circuit_like, random_diag_dominant,
+/// random_spd): they append (row, col, value) triplets in any order, then
+/// convert to CSR for compute.  Duplicate entries are summed during
+/// conversion, matching the usual finite-element assembly semantics.  The
+/// structured-grid generators skip COO and write CSR rows directly
+/// (gen/stencil.hpp).
 
 #include <cstddef>
 #include <vector>
@@ -50,6 +53,17 @@ public:
   }
 
   /// Sort triplets by (row, col) and sum duplicates in place.
+  ///
+  /// Determinism hazard: the sort is std::sort, which is not stable, so
+  /// three or more duplicates of one entry are summed in the order the
+  /// standard library's introsort leaves them, not in insertion order, and
+  /// a floating-point sum of three or more terms depends on that order.
+  /// The matrices that have such entries (circuit_like's diagonals) are
+  /// therefore bitwise tied to the standard library: with std::stable_sort
+  /// the circuit_like matrices at 500, 2,000 and 20,000 nodes change bits
+  /// under libstdc++, while random_diag_dominant and random_spd do not.
+  /// The order is kept as is so published circuit results stay
+  /// reproducible on the same toolchain.
   void compress();
 
   /// Reserve storage for \p n triplets.

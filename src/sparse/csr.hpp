@@ -14,6 +14,11 @@
 
 namespace sdcgmres::sparse {
 
+/// The largest row or column count a matrix source builds (generators,
+/// Matrix Market size lines): 2^31 - 1, the largest dimension the int32
+/// index plane addresses.
+inline constexpr std::size_t kMaxDimension = 2147483647;
+
 namespace detail {
 
 /// CSR spmv core shared by CsrMatrix and its narrowed mirrors
@@ -95,9 +100,11 @@ inline void csr_spmm_core(std::size_t rows, const I* row_ptr,
 
 /// Immutable CSR sparse matrix.
 ///
-/// Construction goes through CooMatrix (which sums duplicates), so the row
-/// pointer / column index invariants hold by construction: for each row the
-/// column indices are strictly increasing.
+/// Built either from a CooMatrix (sorted, duplicates summed: the Matrix
+/// Market reader and the unstructured generators) or from raw CSR arrays
+/// (the structured-grid generators write rows in column order directly).
+/// Both constructors validate the invariants: row pointers nondecreasing
+/// and, within each row, column indices in range and strictly increasing.
 class CsrMatrix {
 public:
   using scalar_type = double;

@@ -92,10 +92,10 @@ CsrMatrix read_matrix_market(std::istream& in) {
   // The declared dimensions are untrusted too: the CSR row pointers alone
   // take rows + 1 words, so a size line beyond what the narrowest index
   // plane addresses is refused before anything is allocated for it.
-  if (rows > kMaxMatrixMarketDimension || cols > kMaxMatrixMarketDimension) {
+  if (rows > kMaxDimension || cols > kMaxDimension) {
     mm_fail("declared size " + std::to_string(rows) + " x " +
             std::to_string(cols) + " exceeds the largest dimension read, " +
-            std::to_string(kMaxMatrixMarketDimension) + " (size line, line " +
+            std::to_string(kMaxDimension) + " (size line, line " +
             std::to_string(line_no) + ")");
   }
 

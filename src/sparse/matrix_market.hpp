@@ -15,13 +15,9 @@
 
 namespace sdcgmres::sparse {
 
-/// The largest row or column count a Matrix Market size line may declare:
-/// 2^31 - 1, the largest dimension the int32 index plane addresses.
-inline constexpr std::size_t kMaxMatrixMarketDimension = 2147483647;
-
 /// Parse a Matrix Market stream into CSR.  Throws std::runtime_error on
 /// malformed input, including a size line declaring more than
-/// kMaxMatrixMarketDimension rows or columns.
+/// kMaxDimension rows or columns.
 [[nodiscard]] CsrMatrix read_matrix_market(std::istream& in);
 
 /// Read a Matrix Market file by path.
